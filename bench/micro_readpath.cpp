@@ -9,9 +9,9 @@
  * The store runs with auto_compaction off so the pushed PMTables stay
  * exactly where the bench placed them, and with the zero-cost NVM perf
  * model so wall-clock isolates the software read path (manifest loads,
- * bloom probes, skip-list descents). Charged NVM read traffic is still
- * metered and reported, showing where bloom skips cut simulated media
- * reads.
+ * bloom probes, DRAM fence searches and their NVM walks). Charged NVM
+ * read traffic is still metered and reported, showing where bloom
+ * skips and fence walks cut simulated media reads.
  *
  * Emits a machine-readable JSON results file with --json=<path>
  * (scripts/bench_readpath.sh wraps this to seed BENCH_readpath.json),
@@ -85,6 +85,7 @@ struct RunResult {
     uint64_t bloom_filter_skips = 0;
     uint64_t bloom_summary_skips = 0;
     uint64_t read_retries = 0;
+    uint64_t fence_walk_nodes = 0;
     uint64_t nvm_charged_read_bytes = 0;
 };
 
@@ -191,6 +192,7 @@ runWorkload(FrozenStore &fs, const BenchParams &p, int levels,
     r.bloom_filter_skips = delta.bloom_filter_skips;
     r.bloom_summary_skips = delta.bloom_summary_skips;
     r.read_retries = delta.read_retries;
+    r.fence_walk_nodes = delta.fence_walk_nodes;
     r.nvm_charged_read_bytes =
         fs.nvm.meters().bytes_read - reads_before;
     return r;
@@ -220,6 +222,7 @@ writeJson(const std::string &path, const BenchParams &p,
                  "\"bloom_filter_skips\": %llu, "
                  "\"bloom_summary_skips\": %llu, "
                  "\"read_retries\": %llu, "
+                 "\"fence_walk_nodes\": %llu, "
                  "\"nvm_charged_read_bytes\": %llu}%s\n",
                  r.levels, r.workload.c_str(),
                  static_cast<unsigned long long>(r.gets), r.kiops,
@@ -227,6 +230,7 @@ writeJson(const std::string &path, const BenchParams &p,
                  static_cast<unsigned long long>(r.bloom_filter_skips),
                  static_cast<unsigned long long>(r.bloom_summary_skips),
                  static_cast<unsigned long long>(r.read_retries),
+                 static_cast<unsigned long long>(r.fence_walk_nodes),
                  static_cast<unsigned long long>(
                      r.nvm_charged_read_bytes),
                  i + 1 < runs.size() ? "," : "");
@@ -339,7 +343,7 @@ main(int argc, char **argv)
             " tables/level, " + std::to_string(p.table_keys) +
             " keys/table (zero-cost NVM model)",
         {"levels", "workload", "KIOPS", "found", "tbl skips",
-         "lvl skips", "retries", "charged MB"});
+         "lvl skips", "retries", "fence nodes", "charged MB"});
     std::vector<RunResult> runs;
     StatsSnapshot sched_agg;
     for (int levels : level_sweep) {
@@ -353,6 +357,7 @@ main(int argc, char **argv)
                         std::to_string(r.bloom_filter_skips),
                         std::to_string(r.bloom_summary_skips),
                         std::to_string(r.read_retries),
+                        std::to_string(r.fence_walk_nodes),
                         TableReporter::num(
                             r.nvm_charged_read_bytes / 1e6, 1)});
         }

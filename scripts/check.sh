@@ -17,7 +17,7 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 # assertion needs the writer to outrun background migration, which
 # TSan's slowdown prevents (no race involved -- it runs in the
 # normal-build suite).
-TSAN_TESTS="${MIO_TSAN_TESTS:-group_commit_test|miodb_concurrency_test|multiwriter_test|miodb_recovery_test|failpoint_test|bloom_summary_test|fault_soak_test|sched_test|sharded_store_test|snapshot_iterator_test|value_log_test|instant_recovery_test|read_cache_test}"
+TSAN_TESTS="${MIO_TSAN_TESTS:-group_commit_test|miodb_concurrency_test|multiwriter_test|miodb_recovery_test|failpoint_test|bloom_summary_test|fence_index_test|flush_shutdown_test|fault_soak_test|sched_test|sharded_store_test|snapshot_iterator_test|value_log_test|instant_recovery_test|read_cache_test}"
 
 if [ "${1:-}" != "--tsan-only" ]; then
     echo "=== tier-1: build + full test suite"
@@ -26,6 +26,8 @@ if [ "${1:-}" != "--tsan-only" ]; then
     (cd build && ctest --output-on-failure -j "$JOBS")
     echo "=== read-path bench smoke (keeps bench/micro_readpath honest)"
     build/bench/micro_readpath --smoke
+    echo "=== readpath suite (manifests, bloom summaries, DRAM fence index)"
+    (cd build && ctest --output-on-failure -L readpath)
     echo "=== fault suite (fault model, scrubber, backpressure)"
     (cd build && ctest --output-on-failure -L fault)
     echo "=== sched suite (unified background-job scheduler)"
@@ -57,6 +59,10 @@ if [ "${1:-}" != "--tsan-only" ]; then
     (cd build-debug &&
          ctest --output-on-failure \
                -R "edge_case_test|snapshot_iterator_test|read_cache_test")
+    echo "=== ASan leg (shutdown use-after-free regression)"
+    cmake -B build-asan -S . -DMIO_SANITIZE=address >/dev/null
+    cmake --build build-asan -j "$JOBS" --target flush_shutdown_test
+    (cd build-asan && ctest --output-on-failure -R "^flush_shutdown_test$")
     echo "=== no bare sleep-polling on background control paths"
     if grep -rn "sleep_for" src/sched src/miodb src/lsm src/shard; then
         echo "error: background paths must wait on the scheduler" >&2

@@ -36,7 +36,10 @@ statsRow(const std::string &label, const StatsSnapshot &s)
             std::to_string(s.cache_hits),
             std::to_string(s.cache_misses),
             std::to_string(s.gov_memtable_bytes),
-            std::to_string(s.tuner_moves)};
+            std::to_string(s.tuner_moves),
+            std::to_string(s.fence_probes),
+            std::to_string(s.fence_walk_nodes),
+            std::to_string(s.fence_bytes)};
 }
 
 } // namespace
@@ -62,7 +65,8 @@ printShardStats(KVStore *store)
         {"shard", "puts", "gets", "scans", "flushes", "zcm", "lcm",
          "vl_app", "vl_deref", "vl_segs", "vl_gc", "vl_reloc",
          "vl_reclaim", "replayed", "ondemand", "rec_pend", "ready_ms",
-         "drain_ms", "c_hit", "c_miss", "gov_mt", "tuner"});
+         "drain_ms", "c_hit", "c_miss", "gov_mt", "tuner", "f_probes",
+         "f_nodes", "f_bytes"});
     for (int i = 0; i < sharded->numShards(); i++) {
         tbl.addRow(statsRow(std::to_string(i),
                             snapshotOf(sharded->shardAt(i).stats())));

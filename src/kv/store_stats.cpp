@@ -33,6 +33,9 @@ snapshotOf(const StatsCounters &c)
     s.bloom_filter_skips = get(c.bloom_filter_skips);
     s.bloom_summary_skips = get(c.bloom_summary_skips);
     s.read_retries = get(c.read_retries);
+    s.fence_probes = get(c.fence_probes);
+    s.fence_walk_nodes = get(c.fence_walk_nodes);
+    s.fence_bytes = get(c.fence_bytes);
     s.groups_committed = get(c.groups_committed);
     s.group_writers = get(c.group_writers);
     s.wal_appends_saved = get(c.wal_appends_saved);
@@ -116,6 +119,9 @@ statsDelta(const StatsSnapshot &a, const StatsSnapshot &b)
     d.bloom_summary_skips =
         a.bloom_summary_skips - b.bloom_summary_skips;
     d.read_retries = a.read_retries - b.read_retries;
+    d.fence_probes = a.fence_probes - b.fence_probes;
+    d.fence_walk_nodes = a.fence_walk_nodes - b.fence_walk_nodes;
+    d.fence_bytes = a.fence_bytes;  // gauge
     d.groups_committed = a.groups_committed - b.groups_committed;
     d.group_writers = a.group_writers - b.group_writers;
     d.wal_appends_saved = a.wal_appends_saved - b.wal_appends_saved;
@@ -209,6 +215,9 @@ statsAdd(StatsSnapshot *acc, const StatsSnapshot &b)
     acc->bloom_filter_skips += b.bloom_filter_skips;
     acc->bloom_summary_skips += b.bloom_summary_skips;
     acc->read_retries += b.read_retries;
+    acc->fence_probes += b.fence_probes;
+    acc->fence_walk_nodes += b.fence_walk_nodes;
+    acc->fence_bytes += b.fence_bytes;
     acc->groups_committed += b.groups_committed;
     acc->group_writers += b.group_writers;
     acc->wal_appends_saved += b.wal_appends_saved;
@@ -298,6 +307,9 @@ loadInto(const StatsSnapshot &s, StatsCounters *out)
     set(out->bloom_filter_skips, s.bloom_filter_skips);
     set(out->bloom_summary_skips, s.bloom_summary_skips);
     set(out->read_retries, s.read_retries);
+    set(out->fence_probes, s.fence_probes);
+    set(out->fence_walk_nodes, s.fence_walk_nodes);
+    set(out->fence_bytes, s.fence_bytes);
     set(out->groups_committed, s.groups_committed);
     set(out->group_writers, s.group_writers);
     set(out->wal_appends_saved, s.wal_appends_saved);
@@ -387,6 +399,19 @@ StatsSnapshot::toString() const
              static_cast<unsigned long long>(ssd_io_retries),
              static_cast<unsigned long long>(wal_corrupt_frames));
     out += buf;
+    if (fence_probes > 0 || fence_bytes > 0) {
+        snprintf(buf, sizeof(buf),
+                 "\nfence: probes=%llu walk_nodes=%llu (%.2f/probe) "
+                 "bytes=%llu",
+                 static_cast<unsigned long long>(fence_probes),
+                 static_cast<unsigned long long>(fence_walk_nodes),
+                 fence_probes > 0
+                     ? static_cast<double>(fence_walk_nodes) /
+                           static_cast<double>(fence_probes)
+                     : 0.0,
+                 static_cast<unsigned long long>(fence_bytes));
+        out += buf;
+    }
     if (snapshots_live > 0 || snapshots_pinned_manifests > 0) {
         snprintf(buf, sizeof(buf),
                  "\nsnapshots: live=%llu pinned_manifests=%llu",

@@ -55,6 +55,12 @@ struct StatsCounters {
     std::atomic<uint64_t> bloom_summary_skips{0};
     /** Per-level lookup retries after a concurrent manifest publish. */
     std::atomic<uint64_t> read_retries{0};
+    /** Table probes answered by a DRAM fence walk (no descent). */
+    std::atomic<uint64_t> fence_probes{0};
+    /** NVM nodes those fence walks dereferenced. */
+    std::atomic<uint64_t> fence_walk_nodes{0};
+    /** Gauge: DRAM bytes held by published fence indexes. */
+    std::atomic<uint64_t> fence_bytes{0};
 
     // -- group commit (write pipeline) --
     /** Log2-ish buckets of writers-per-group: 1, 2, 3-4, 5-8, ... */
@@ -210,6 +216,9 @@ struct StatsSnapshot {
     uint64_t bloom_filter_skips = 0;
     uint64_t bloom_summary_skips = 0;
     uint64_t read_retries = 0;
+    uint64_t fence_probes = 0;
+    uint64_t fence_walk_nodes = 0;
+    uint64_t fence_bytes = 0;
     uint64_t groups_committed = 0;
     uint64_t group_writers = 0;
     uint64_t wal_appends_saved = 0;

@@ -1,0 +1,90 @@
+#include "miodb/fence_index.h"
+
+#include <algorithm>
+
+namespace mio::miodb {
+
+void
+FenceIndex::append(const Slice &key, uint64_t seq, const Node *node)
+{
+    entries_.push_back(Entry{static_cast<uint32_t>(keys_.size()),
+                             static_cast<uint32_t>(key.size()), seq,
+                             node});
+    keys_.append(key.data(), key.size());
+}
+
+std::shared_ptr<const FenceIndex>
+FenceIndex::fromRelocatedList(const SkipList &dram, ptrdiff_t delta)
+{
+    auto f = std::make_shared<FenceIndex>();
+    for (const Node *n = dram.head()->next(1); n != nullptr;
+         n = n->next(1)) {
+        f->append(n->key(), n->seq,
+                  reinterpret_cast<const Node *>(
+                      reinterpret_cast<const char *>(n) + delta));
+    }
+    return f;
+}
+
+std::shared_ptr<const FenceIndex>
+FenceIndex::fromNvmList(const SkipList &list, sim::NvmDevice *device)
+{
+    auto f = std::make_shared<FenceIndex>();
+    for (const Node *n = list.head()->next(1); n != nullptr;
+         n = n->next(1)) {
+        f->append(n->key(), n->seq, n);
+    }
+    // The head plus every level-1 node: one media read each.
+    device->chargeRandomReads(static_cast<int>(f->size() + 1));
+    return f;
+}
+
+std::shared_ptr<const FenceIndex>
+FenceIndex::merge(const FenceIndex &a, const FenceIndex &b,
+                  std::vector<const Node *> unlinked)
+{
+    std::sort(unlinked.begin(), unlinked.end());
+    auto gone = [&](const Node *n) {
+        return std::binary_search(unlinked.begin(), unlinked.end(), n);
+    };
+    auto f = std::make_shared<FenceIndex>();
+    f->entries_.reserve(a.size() + b.size());
+    f->keys_.reserve(a.keys_.size() + b.keys_.size());
+    size_t i = 0;
+    size_t j = 0;
+    while (i < a.size() || j < b.size()) {
+        const Entry *e;
+        const FenceIndex *src;
+        if (j == b.size() ||
+            (i < a.size() &&
+             SkipList::entryBefore(a.keyAt(a.entries_[i]),
+                                   a.entries_[i].seq,
+                                   b.keyAt(b.entries_[j]),
+                                   b.entries_[j].seq))) {
+            e = &a.entries_[i++];
+            src = &a;
+        } else {
+            e = &b.entries_[j++];
+            src = &b;
+        }
+        if (!gone(e->node))
+            f->append(src->keyAt(*e), e->seq, e->node);
+    }
+    return f;
+}
+
+const FenceIndex::Node *
+FenceIndex::floor(const Slice &key) const
+{
+    // First entry whose key is >= key; the one before it is the last
+    // strictly below. Same-key versions share a key, so the walk
+    // starts before the newest version of @p key.
+    auto it = std::partition_point(
+        entries_.begin(), entries_.end(),
+        [&](const Entry &e) { return keyAt(e).compare(key) < 0; });
+    if (it == entries_.begin())
+        return nullptr;
+    return std::prev(it)->node;
+}
+
+} // namespace mio::miodb

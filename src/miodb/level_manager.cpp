@@ -1,5 +1,7 @@
 #include "miodb/level_manager.h"
 
+#include <algorithm>
+
 namespace mio::miodb {
 
 BufferLevel::BufferLevel()
@@ -47,6 +49,9 @@ BufferLevel::republishLocked(std::shared_ptr<const BloomFilter> added)
         LevelManifest::TableRef ref;
         ref.table = *it;
         ref.bloom = (*it)->bloomRef();
+        ref.fence = (*it)->fence();
+        if (ref.fence != nullptr)
+            m->fence_bytes += ref.fence->memoryBytes();
         ref.min_key = (*it)->minKey();
         ref.max_key = (*it)->maxKey();
         m->tables.push_back(std::move(ref));
@@ -59,6 +64,9 @@ BufferLevel::republishLocked(std::shared_ptr<const BloomFilter> added)
     m->migrating = migrating_;
     if (migrating_) {
         m->migrating_bloom = migrating_->bloomRef();
+        m->migrating_fence = migrating_->fence();
+        if (m->migrating_fence != nullptr)
+            m->fence_bytes += m->migrating_fence->memoryBytes();
         m->migrating_min = migrating_->minKey();
         m->migrating_max = migrating_->maxKey();
     }
@@ -237,6 +245,69 @@ BufferLevel::arenaBytes() const
     }
     if (migrating_)
         total += migrating_->arenaBytes();
+    return total;
+}
+
+std::vector<std::shared_ptr<PMTable>>
+BufferLevel::unfencedTables() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::shared_ptr<PMTable>> out;
+    for (const auto &t : tables_) {
+        if (t->fence() == nullptr)
+            out.push_back(t);
+    }
+    if (migrating_ && migrating_->fence() == nullptr)
+        out.push_back(migrating_);
+    return out;
+}
+
+bool
+BufferLevel::publishFence(const std::shared_ptr<PMTable> &table,
+                          std::shared_ptr<const FenceIndex> fence)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    // Resident and migrating lists are never relinked, and a table
+    // only ever moves down, so membership here proves the walk saw
+    // the list the fence now describes.
+    if (table != migrating_ &&
+        std::find(tables_.begin(), tables_.end(), table) ==
+            tables_.end()) {
+        return false;
+    }
+    table->setFence(std::move(fence));
+    republishLocked(nullptr);
+    return true;
+}
+
+void
+BufferLevel::dropFences()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto &t : tables_)
+        t->setFence(nullptr);
+    if (merge_) {
+        merge_->newt->setFence(nullptr);
+        merge_->oldt->setFence(nullptr);
+    }
+    if (migrating_)
+        migrating_->setFence(nullptr);
+    republishLocked(nullptr);
+}
+
+void
+LevelManager::dropFences()
+{
+    for (auto &level : levels_)
+        level.dropFences();
+}
+
+size_t
+LevelManager::fenceBytes() const
+{
+    size_t total = 0;
+    for (const auto &level : levels_)
+        total += level.manifestSnapshot()->fence_bytes;
     return total;
 }
 

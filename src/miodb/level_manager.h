@@ -36,6 +36,8 @@ struct LevelManifest {
         std::shared_ptr<PMTable> table;
         /** Filter frozen at capture; absorb() never mutates it. */
         std::shared_ptr<const BloomFilter> bloom;
+        /** DRAM fence index, or nullptr (plain descent). */
+        std::shared_ptr<const FenceIndex> fence;
         std::string min_key;
         std::string max_key;
 
@@ -58,6 +60,7 @@ struct LevelManifest {
     /** Table being lazy-copied to the repository (oldest). */
     std::shared_ptr<PMTable> migrating;
     std::shared_ptr<const BloomFilter> migrating_bloom;
+    std::shared_ptr<const FenceIndex> migrating_fence;
     std::string migrating_min;
     std::string migrating_max;
 
@@ -68,6 +71,9 @@ struct LevelManifest {
      * proves the key is in no member, so the whole level is skipped.
      */
     std::shared_ptr<const BloomFilter> summary;
+
+    /** DRAM bytes held by the fences above (fence_bytes gauge). */
+    size_t fence_bytes = 0;
 
     bool
     hasMembers() const
@@ -171,6 +177,21 @@ class BufferLevel
     /** Total NVM bytes referenced by this level's tables. */
     size_t arenaBytes() const;
 
+    /** Resident and migrating tables that have no fence index. */
+    std::vector<std::shared_ptr<PMTable>> unfencedTables() const;
+
+    /**
+     * Install @p fence on @p table and republish, if the table is
+     * still resident or migrating here. @return false when it left
+     * (claimed by a merge, demoted): a fence walked concurrently with
+     * a merge may describe no consistent list, so it is discarded.
+     */
+    bool publishFence(const std::shared_ptr<PMTable> &table,
+                      std::shared_ptr<const FenceIndex> fence);
+
+    /** Drop every member's fence (DRAM state lost at reopen). */
+    void dropFences();
+
   private:
     /**
      * Rebuild + install the manifest from current membership. Caller
@@ -214,6 +235,11 @@ class LevelManager
      * transiently double-counts until the merge finishes.
      */
     bool anyLevelBusy() const;
+
+    /** Drop every table's fence index (see BufferLevel). */
+    void dropFences();
+    /** DRAM bytes held by the published fence indexes. */
+    size_t fenceBytes() const;
 
     /** Total resident PMTables across levels. */
     size_t totalTables() const;

@@ -127,12 +127,23 @@ MioDB::scheduleFlush()
 void
 MioDB::flushJob()
 {
-    while (!shutting_down_.load() && !crashed_.load()) {
+    sched::BackgroundScheduler *sched = sched_;
+    while (true) {
         Immutable imm;
         {
             std::lock_guard<std::mutex> il(imm_mu_);
-            if (imms_.empty())
+            if (imms_.empty() || shutting_down_.load() ||
+                crashed_.load()) {
+                // Release the token under imm_mu_: an imm pushed
+                // before this check was drained above, and one pushed
+                // after it finds the token free and schedules its own
+                // job. The release is this job's last touch of the
+                // store: a closing store waits for the token, then
+                // for imm_mu_, and may be destroyed once both are
+                // free.
+                flush_scheduled_.store(false);
                 break;
+            }
             imm = imms_.front();
         }
         uint64_t table_id = state_->next_table_id.fetch_add(1);
@@ -163,6 +174,7 @@ MioDB::flushJob()
             return;
         }
         flush_blocked_.store(false);
+        ensureFence(table.get());
         stats_.flush_count.fetch_add(1, std::memory_order_relaxed);
         // A crash before the push loses the PMTable image but the WAL
         // segment survives (it is recycled only after the push);
@@ -191,18 +203,7 @@ MioDB::flushJob()
         notifyCapWaiters();
         scheduleCompaction(0);
     }
-    // Release the token, then close the submit/observe race: an imm
-    // pushed after the emptiness check above (its scheduleFlush lost
-    // to our token) reschedules here.
-    flush_scheduled_.store(false);
-    sched_->notifyEvent();
-    bool more;
-    {
-        std::lock_guard<std::mutex> il(imm_mu_);
-        more = !imms_.empty();
-    }
-    if (more && !shutting_down_.load())
-        scheduleFlush();
+    sched->notifyEvent();
 }
 
 void
@@ -370,6 +371,7 @@ MioDB::compactLevelOnce(int level)
     if (options_.zero_copy_merge) {
         zeroCopyMerge(op.get(), nvm_, &stats_, nullptr, keep_seq,
                       drop_hook);
+        ensureFence(op->oldt.get());
         // Publish the result downstream before retiring the merge so
         // readers never lose sight of the data.
         state_->levels.level(level + 1).push(op->oldt);
@@ -385,17 +387,58 @@ MioDB::compactLevelOnce(int level)
             // allocation-free zero-copy merge instead of failing.
             zeroCopyMerge(op.get(), nvm_, &stats_, nullptr, keep_seq,
                           drop_hook);
+            ensureFence(op->oldt.get());
             state_->levels.level(level + 1).push(op->oldt);
             bl.finishMerge(op);
             settleMergeDelta(before_bytes, op->oldt->arenaBytes());
             return CompactResult::kWorked;
         }
         const size_t after_bytes = result->arenaBytes();
+        ensureFence(result.get());
         state_->levels.level(level + 1).push(std::move(result));
         bl.finishMerge(op);
         settleMergeDelta(before_bytes, after_bytes);
     }
     return CompactResult::kWorked;
+}
+
+void
+MioDB::ensureFence(PMTable *table)
+{
+    if (table->fence() == nullptr)
+        table->setFence(FenceIndex::fromNvmList(table->list(), nvm_));
+}
+
+void
+MioDB::fenceRebuildJob()
+{
+    // A table a merge claims mid-walk is skipped (the merge gives its
+    // result a fence); one demoted mid-walk is found again a level
+    // down. A few passes settle both; a table still unfenced after
+    // them just keeps the plain descent until its next merge.
+    bool moved = true;
+    for (int pass = 0; pass < 4 && moved; pass++) {
+        moved = false;
+        for (int i = 0; i < state_->levels.numLevels(); i++) {
+            BufferLevel &bl = state_->levels.level(i);
+            for (const auto &table : bl.unfencedTables()) {
+                if (shutting_down_.load() || crashed_.load())
+                    break;
+                // A merge claiming the table mid-walk can lead the
+                // walk into another table's nodes; the reader epoch
+                // keeps those alive like any lookup's.
+                std::shared_ptr<const FenceIndex> fence;
+                {
+                    ReadGuard guard(this);
+                    fence = FenceIndex::fromNvmList(table->list(), nvm_);
+                }
+                if (!bl.publishFence(table, std::move(fence)))
+                    moved = true;
+            }
+        }
+    }
+    // Last touch of this store: a closing store waits for the token.
+    fence_rebuild_scheduled_.store(false);
 }
 
 bool
@@ -1170,6 +1213,9 @@ MioDB::waitIdle()
             return false;
         if (!idle(sched::JobClass::kWalReplay) ||
             replay_scheduled_.load())
+            return false;
+        // A reopen's fence rebuild republishes manifests: wait for it.
+        if (fence_rebuild_scheduled_.load())
             return false;
         // Housekeeping counts: callers rely on waitIdle meaning every
         // flushed segment's WAL has been recycled (the old flusher did

@@ -37,7 +37,8 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
         registry_ = owned_registry_.get();
     }
 
-    if (state != nullptr) {
+    const bool adopted = state != nullptr;
+    if (adopted) {
         assert(state->levels.numLevels() == options_.elastic_levels &&
                "NVM image level count must match the options");
         state_ = std::move(state);
@@ -162,6 +163,12 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
     if (instant)
         buildRecoveryIndex();
 
+    // Fence indexes are DRAM: an adopted image keeps none of them
+    // (a power failure would have lost them). Gets use the plain
+    // descent until the rebuild job below republishes each table's.
+    if (adopted)
+        state_->levels.dropFences();
+
     // Interrupted compactions complete in the foreground, before any
     // reads or background jobs can observe the half-merged levels; a
     // SimCrash here propagates out of the constructor as before.
@@ -214,6 +221,17 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
     // Prime the pipeline: an adopted image (or the replay) may have
     // left flushable immutables and mergeable levels behind.
     kickMaintenance();
+    if (adopted) {
+        // The rebuild walk is CPU-bound over every level-1 node of the
+        // buffer. Starting it a moment after open keeps it off the
+        // core that finishes the open and serves the first requests,
+        // so recovery time never includes fence building.
+        fence_rebuild_scheduled_.store(true);
+        sched_->submitAfter(
+            sched::JobClass::kScrub, kFenceRebuildDelayMs,
+            [this] { fenceRebuildJob(); },
+            [this] { fence_rebuild_scheduled_.store(false); });
+    }
     const uint64_t ready_ms =
         (nowNanos() - open_start_ns_) / 1000000;
     stats_.recovery_ms_to_ready.store(ready_ms,
@@ -318,7 +336,8 @@ MioDB::~MioDB()
         sched_->waitUntil(
             [&] {
                 if (flush_scheduled_.load() ||
-                    vlog_gc_scheduled_.load()) {
+                    vlog_gc_scheduled_.load() ||
+                    fence_rebuild_scheduled_.load()) {
                     return false;
                 }
                 for (int i = 0; i < options_.elastic_levels; i++) {
@@ -331,6 +350,9 @@ MioDB::~MioDB()
                        idle(sched::JobClass::kVlogGc);
             },
             wo);
+        // A flush job releases its token while holding imm_mu_; taking
+        // the lock once waits out that job's last touch of this store.
+        std::lock_guard<std::mutex> il(imm_mu_);
     }
     // Shared pool after a crash: frozen, nothing queued (freeze
     // dropped it), and the facade joins the workers before shards are
@@ -1181,6 +1203,27 @@ MioDB::remove(const Slice &key)
 }
 
 bool
+MioDB::probeTable(const PMTable &table, const FenceIndex *fence,
+                  const Slice &key, std::string *value, EntryType *type,
+                  uint64_t *seq, bool verify, bool *corrupt)
+{
+    // Both paths walk NVM-resident nodes: charge one media read per
+    // node they dereference.
+    if (fence == nullptr) {
+        nvm_->chargeRandomReads(
+            sim::skipDescentDepth(table.entryCount()));
+        return table.list().get(key, value, type, seq, verify, corrupt);
+    }
+    int hops = 0;
+    const bool found = table.list().getFrom(
+        fence->floor(key), key, value, type, seq, verify, corrupt, &hops);
+    nvm_->chargeRandomReads(hops);
+    stats_.fence_probes.fetch_add(1, std::memory_order_relaxed);
+    stats_.fence_walk_nodes.fetch_add(hops, std::memory_order_relaxed);
+    return found;
+}
+
+bool
 MioDB::probeLevelManifest(const LevelManifest &m, const Slice &key,
                           uint64_t h1, uint64_t h2, std::string *value,
                           EntryType *type, uint64_t *seq,
@@ -1211,11 +1254,8 @@ MioDB::probeLevelManifest(const LevelManifest &m, const Slice &key,
             *corrupt = true;
             return false;
         }
-        // The descent walks NVM-resident nodes: charge media reads.
-        nvm_->chargeRandomReads(
-            sim::skipDescentDepth(ref.table->entryCount()));
-        if (ref.table->list().get(key, value, type, seq, verify,
-                                  corrupt)) {
+        if (probeTable(*ref.table, ref.fence.get(), key, value, type,
+                       seq, verify, corrupt)) {
             return true;
         }
         if (*corrupt)
@@ -1252,10 +1292,8 @@ MioDB::probeLevelManifest(const LevelManifest &m, const Slice &key,
                 *corrupt = true;
                 return false;
             }
-            nvm_->chargeRandomReads(
-                sim::skipDescentDepth(m.migrating->entryCount()));
-            if (m.migrating->list().get(key, value, type, seq, verify,
-                                        corrupt)) {
+            if (probeTable(*m.migrating, m.migrating_fence.get(), key,
+                           value, type, seq, verify, corrupt)) {
                 return true;
             }
             if (*corrupt)
@@ -1279,23 +1317,30 @@ MioDB::lookupBufferAndRepo(const Slice &key, std::string *value,
     for (int i = 0; i < state_->levels.numLevels(); i++) {
         const BufferLevel &bl = state_->levels.level(i);
         const LevelManifest *m = bl.acquireManifest();
+        if (manifest_probe_hook_)
+            manifest_probe_hook_(i);
         while (true) {
-            if (probeLevelManifest(*m, key, h1, h2, value, type, seq,
-                                   use_bloom, corrupt)) {
-                return true;
-            }
+            const bool hit = probeLevelManifest(*m, key, h1, h2, value,
+                                                type, seq, use_bloom,
+                                                corrupt);
             if (*corrupt)
                 return false;  // never descend past damage
-            // A miss is conclusive only if the manifest did not change
-            // underneath the probe: a concurrent merge claim can move
-            // a node out of a table after we searched it (and captured
-            // filters go stale the same way). Publication happens
-            // before any node moves, so rechecking the pointer after
-            // the probe catches every such race; a reader that misses
-            // for real sees a stable pointer and descends.
+            // An answer is conclusive only if the manifest did not
+            // change underneath the probe: a concurrent merge claim
+            // can move a node out of a table after we searched it (and
+            // captured filters and fences go stale the same way). A
+            // miss would then skip the moved node; a hit can be worse
+            // -- with the newest version detached into the insertion
+            // mark, a probe through the pre-merge manifest misses the
+            // newtable and finds an OLDER version in the oldtable.
+            // Publication happens before any node moves, so rechecking
+            // the pointer after the probe catches every such race.
             const LevelManifest *now = bl.acquireManifest();
-            if (now == m)
+            if (now == m) {
+                if (hit)
+                    return true;
                 break;
+            }
             m = now;
             stats_.read_retries.fetch_add(1, std::memory_order_relaxed);
         }

@@ -149,6 +149,8 @@ class MioDB : public KVStore
     stats() const override
     {
         governor_->publishGauges();
+        stats_.fence_bytes.store(state_->levels.fenceBytes(),
+                                 std::memory_order_relaxed);
         return stats_;
     }
     std::string
@@ -273,6 +275,17 @@ class MioDB : public KVStore
      * recovering" state and compare it against a drained reference.
      */
     void pauseBackgroundReplayForTesting(bool paused);
+    /**
+     * Test hook: @p hook(level) runs on the reading thread right after
+     * a point lookup loads a buffer level's manifest and before it
+     * probes it, so a test can interleave a merge step exactly there.
+     * Install only while no reads are in flight.
+     */
+    void
+    setManifestProbeHookForTesting(std::function<void(int)> hook)
+    {
+        manifest_probe_hook_ = std::move(hook);
+    }
 
   private:
     /**
@@ -459,6 +472,18 @@ class MioDB : public KVStore
     bool levelHasWork(int level) const;
     /** Finish merges/migrations interrupted by a crash (Sec. 4.7). */
     void recoverInterruptedCompactions();
+    /**
+     * Give @p table a fence index by a charged level-1 walk unless it
+     * already has one (copying-merge output, node-by-node flush, and
+     * merges of inputs a reopen left without fences).
+     */
+    void ensureFence(PMTable *table);
+    /**
+     * Job body (kScrub class, run once per reopen): rebuild the fence
+     * indexes adoption dropped. Until a table's fence is published,
+     * gets on it take the plain descent.
+     */
+    void fenceRebuildJob();
 
     /**
      * @param corrupt set when the lookup hit a checksum-failing entry
@@ -586,6 +611,15 @@ class MioDB : public KVStore
                             std::string *value, EntryType *type,
                             uint64_t *seq, bool use_bloom,
                             bool *corrupt);
+    /**
+     * Look @p key up in one resident or migrating table: a level-0
+     * walk from the fence floor when @p fence is set, else the plain
+     * top-down descent. Charges the NVM reads either path makes.
+     */
+    bool probeTable(const PMTable &table, const FenceIndex *fence,
+                    const Slice &key, std::string *value,
+                    EntryType *type, uint64_t *seq, bool verify,
+                    bool *corrupt);
 
     /**
      * A pinned view (see getSnapshot). All members are owning
@@ -614,7 +648,9 @@ class MioDB : public KVStore
     MioOptions options_;
     sim::NvmDevice *nvm_;
     sim::SsdDevice *ssd_;
-    StatsCounters stats_;
+    /** Mutable for the pull-published gauges stats() refreshes. */
+    mutable StatsCounters stats_;
+    std::function<void(int)> manifest_probe_hook_;
 
     // Memory governor + read cache. owns_governor_ marks standalone
     // mode (private governor/cache, this instance runs the tuner);
@@ -687,6 +723,10 @@ class MioDB : public KVStore
     std::unique_ptr<sched::BackgroundScheduler> owned_sched_;
     std::function<void()> crash_hook_;
     std::atomic<bool> flush_scheduled_{false};
+    /** A reopen's fence rebuild is queued, delayed, or running. */
+    std::atomic<bool> fence_rebuild_scheduled_{false};
+    /** Delay between open and the fence rebuild (see the ctor). */
+    static constexpr uint64_t kFenceRebuildDelayMs = 10;
     std::unique_ptr<std::atomic<bool>[]> compact_scheduled_;
     std::atomic<bool> vlog_gc_scheduled_{false};
     /**

@@ -72,10 +72,13 @@ onePieceFlush(lsm::MemTable *mem, sim::NvmDevice *device,
         }
     }
 
-    return std::make_shared<PMTable>(std::move(dst), head,
-                                     mem->list().entryCount(),
-                                     std::move(bloom), table_id,
-                                     mem->minKey(), mem->maxKey());
+    auto table = std::make_shared<PMTable>(
+        std::move(dst), head, mem->list().entryCount(), std::move(bloom),
+        table_id, mem->minKey(), mem->maxKey());
+    // The image is a byte copy, so the DRAM source's level-1 nodes,
+    // shifted by the relocation delta, are the table's fences.
+    table->setFence(FenceIndex::fromRelocatedList(mem->list(), delta));
+    return table;
 }
 
 std::shared_ptr<PMTable>

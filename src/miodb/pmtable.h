@@ -18,6 +18,7 @@
 
 #include "bloom/bloom_filter.h"
 #include "mem/arena.h"
+#include "miodb/fence_index.h"
 #include "skiplist/skiplist.h"
 
 namespace mio::miodb {
@@ -58,6 +59,25 @@ class PMTable
     {
         std::lock_guard<std::mutex> lock(meta_mu_);
         return bloom_;
+    }
+
+    /**
+     * The DRAM fence index over this table's current list, or nullptr
+     * when none is built (gets then use the plain descent). Like the
+     * bloom filter it is an immutable shared snapshot: setFence()
+     * replaces, never mutates, so a level manifest can capture it.
+     */
+    std::shared_ptr<const FenceIndex>
+    fence() const
+    {
+        std::lock_guard<std::mutex> lock(meta_mu_);
+        return fence_;
+    }
+    void
+    setFence(std::shared_ptr<const FenceIndex> fence)
+    {
+        std::lock_guard<std::mutex> lock(meta_mu_);
+        fence_ = std::move(fence);
     }
 
     uint64_t tableId() const { return table_id_; }
@@ -134,11 +154,13 @@ class PMTable
 
   private:
     SkipList list_;
-    /** Guards arenas_, bloom_, and the key range during absorb(). */
+    /** Guards arenas_, bloom_, fence_, and the key range. */
     mutable std::mutex meta_mu_;
     std::vector<std::shared_ptr<Arena>> arenas_;
     /** Copy-on-write: absorb() replaces, never mutates (see bloomRef). */
     std::shared_ptr<const BloomFilter> bloom_;
+    /** DRAM only: dropped when NvmState is adopted at reopen. */
+    std::shared_ptr<const FenceIndex> fence_;
     uint64_t table_id_;
     std::string min_key_;
     std::string max_key_;

@@ -25,7 +25,7 @@ using Splice = SkipList::Splice;
  */
 bool
 mergeLoop(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
-          const MergeThrottle &throttle, Node *pending,
+          const MergeThrottle &throttle, bool resumed, Node *pending,
           uint64_t keep_seq, const DropNotify &drop_notify)
 {
     SkipList &src = op->newt->list();
@@ -34,11 +34,24 @@ mergeLoop(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
     uint64_t moved = 0;
     size_t pointer_stores = 0;
 
-    auto notify_dropped = [&](const std::vector<Node *> &drop) {
-        if (!drop_notify)
-            return;
-        for (Node *d : drop)
+    // The result's fence is the DRAM merge of both input fences minus
+    // the tall nodes this run unlinks -- sound only when this run saw
+    // every unlink, i.e. a fresh (not resumed) merge of two fenced
+    // tables.
+    const std::shared_ptr<const FenceIndex> newt_fence =
+        resumed ? nullptr : op->newt->fence();
+    const std::shared_ptr<const FenceIndex> oldt_fence =
+        resumed ? nullptr : op->oldt->fence();
+    std::vector<const Node *> unlinked_tall;
+    auto note_dropped = [&](Node *d) {
+        if (d->height >= 2)
+            unlinked_tall.push_back(d);
+        if (drop_notify)
             drop_notify(d->entryType(), d->value());
+    };
+    auto notify_dropped = [&](const std::vector<Node *> &drop) {
+        for (Node *d : drop)
+            note_dropped(d);
     };
 
     auto flush_charges = [&]() {
@@ -80,8 +93,7 @@ mergeLoop(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
             // A newer version visible to the oldest pinned snapshot
             // already landed (stale resume): the node stays detached,
             // its memory reclaimed with the absorbed arenas.
-            if (drop_notify)
-                drop_notify(n->entryType(), n->value());
+            note_dropped(n);
             return;
         }
         dst.linkNode(n, &splice);
@@ -154,6 +166,13 @@ mergeLoop(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
 
     flush_charges();
     op->oldt->absorb(*op->newt);
+    // Never leave the pre-merge fence on the relinked result: without
+    // both inputs' fences it gets none (the caller may walk for one).
+    op->oldt->setFence(
+        newt_fence != nullptr && oldt_fence != nullptr
+            ? FenceIndex::merge(*newt_fence, *oldt_fence,
+                                std::move(unlinked_tall))
+            : nullptr);
     op->done.store(true, std::memory_order_release);
     stats->zero_copy_merges.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -167,8 +186,8 @@ zeroCopyMerge(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
               const DropNotify &drop_notify)
 {
     ScopedTimer timer(&stats->compaction_ns);
-    return mergeLoop(op, device, stats, throttle, nullptr, keep_seq,
-                     drop_notify);
+    return mergeLoop(op, device, stats, throttle, /*resumed=*/false,
+                     nullptr, keep_seq, drop_notify);
 }
 
 bool
@@ -178,8 +197,8 @@ resumeZeroCopyMerge(MergeOp *op, sim::NvmDevice *device,
 {
     ScopedTimer timer(&stats->compaction_ns);
     Node *pending = op->mark.load(std::memory_order_acquire);
-    return mergeLoop(op, device, stats, throttle, pending, keep_seq,
-                     drop_notify);
+    return mergeLoop(op, device, stats, throttle, /*resumed=*/true,
+                     pending, keep_seq, drop_notify);
 }
 
 bool
@@ -187,12 +206,31 @@ mergeAwareGet(const MergeOp *op, const Slice &key, std::string *value,
               EntryType *type, uint64_t *seq, bool verify,
               bool *corrupt)
 {
-    // Step 1: the newtable (newest data of the pair).
-    if (op->newt->list().get(key, value, type, seq, verify, corrupt))
-        return true;
+    // The newest version of the key is always in at least one of the
+    // newtable, the insertion mark and the oldtable, probed in that
+    // order. The first answer is not final: versions a pinned snapshot
+    // keeps travel through the mark as steps of their own, so the
+    // newtable or the mark can hold an OLDER version while the newest
+    // already sits in the oldtable. Keep the newest of all three.
+    bool found = false;
+    uint64_t best_seq = 0;
+    std::string probe_value;
+    EntryType probe_type = EntryType::kValue;
+    uint64_t probe_seq = 0;
+    auto keep = [&] {
+        if (found && probe_seq <= best_seq)
+            return;
+        found = true;
+        best_seq = probe_seq;
+        *type = probe_type;
+        value->swap(probe_value);
+    };
+    if (op->newt->list().get(key, &probe_value, &probe_type, &probe_seq,
+                             verify, corrupt)) {
+        keep();
+    }
     if (corrupt != nullptr && *corrupt)
         return false;
-    // Step 2: the insertion mark -- the node in transit.
     Node *marked = op->mark.load(std::memory_order_acquire);
     if (marked != nullptr && marked->key() == key) {
         if (verify && !marked->checksumOk()) {
@@ -200,18 +238,24 @@ mergeAwareGet(const MergeOp *op, const Slice &key, std::string *value,
                 *corrupt = true;
             return false;
         }
-        *type = marked->entryType();
-        if (seq != nullptr)
-            *seq = marked->seq;
-        if (marked->entryType() != EntryType::kDeletion) {
-            value->assign(marked->value().data(),
-                          marked->value().size());
+        probe_type = marked->entryType();
+        probe_seq = marked->seq;
+        probe_value.clear();
+        if (probe_type != EntryType::kDeletion) {
+            probe_value.assign(marked->value().data(),
+                               marked->value().size());
         }
-        return true;
+        keep();
     }
-    // Step 3: the oldtable.
-    return op->oldt->list().get(key, value, type, seq, verify,
-                                corrupt);
+    if (op->oldt->list().get(key, &probe_value, &probe_type, &probe_seq,
+                             verify, corrupt)) {
+        keep();
+    }
+    if (corrupt != nullptr && *corrupt)
+        return false;
+    if (found && seq != nullptr)
+        *seq = best_seq;
+    return found;
 }
 
 std::shared_ptr<PMTable>

@@ -44,7 +44,9 @@ using DropNotify = std::function<void(EntryType, const Slice &)>;
  * On completion op->oldt contains every live entry of both tables
  * (older duplicate versions unlinked, memory retained until lazy-copy
  * reclamation), op->newt is empty, and op->done is true. Pointer
- * updates are metered as 8-byte NVM writes.
+ * updates are metered as 8-byte NVM writes. When both inputs carry a
+ * fence index, op->oldt gets their DRAM merge minus the unlinked
+ * nodes; otherwise (and after any resumed merge) it gets none.
  *
  * @param keep_seq oldest pinned snapshot bound: an older version is
  * only unlinked when a newer version with seq <= keep_seq shadows it

@@ -226,7 +226,35 @@ SkipList::get(const Slice &key, std::string *value, EntryType *type,
               uint64_t *seq, bool verify, bool *corrupt) const
 {
     Splice ignored;
-    Node *n = findGreaterOrEqual(key, &ignored);
+    return readMatch(findGreaterOrEqual(key, &ignored), key, value, type,
+                     seq, verify, corrupt);
+}
+
+bool
+SkipList::getFrom(const Node *start, const Slice &key,
+                  std::string *value, EntryType *type, uint64_t *seq,
+                  bool verify, bool *corrupt, int *hops) const
+{
+    const uint64_t kp = Node::keyPrefix(key);
+    const Node *n = (start != nullptr ? start : head_)->next(0);
+    int visited = 1;
+    while (n != nullptr) {
+        visited++;
+        const bool before = n->prefix != kp ? n->prefix < kp
+                                            : n->key().compare(key) < 0;
+        if (!before)
+            break;
+        n = n->next(0);
+    }
+    *hops = visited;
+    return readMatch(n, key, value, type, seq, verify, corrupt);
+}
+
+bool
+SkipList::readMatch(const Node *n, const Slice &key, std::string *value,
+                    EntryType *type, uint64_t *seq, bool verify,
+                    bool *corrupt)
+{
     if (n == nullptr || n->key() != key)
         return false;
     if (verify && !n->checksumOk()) {

@@ -186,6 +186,17 @@ class SkipList
              uint64_t *seq = nullptr, bool verify = false,
              bool *corrupt = nullptr) const;
 
+    /**
+     * Point lookup by a level-0 walk from @p start, a node of this
+     * list whose key sorts strictly below @p key (nullptr: the head),
+     * instead of a top-down descent. Same result and verify/corrupt
+     * contract as get(); @p hops receives the number of nodes the
+     * walk dereferenced, @p start (or the head) included.
+     */
+    bool getFrom(const Node *start, const Slice &key, std::string *value,
+                 EntryType *type, uint64_t *seq, bool verify,
+                 bool *corrupt, int *hops) const;
+
     /** Newest node for @p key, or nullptr (scrubber/verify hook). */
     const Node *findEntry(const Slice &key) const;
 
@@ -331,6 +342,10 @@ class SkipList
 
   private:
     Node *newHeadNode(Arena *arena);
+    /** get()'s tail: report @p n if it holds @p key. */
+    static bool readMatch(const Node *n, const Slice &key,
+                          std::string *value, EntryType *type,
+                          uint64_t *seq, bool verify, bool *corrupt);
 
     Node *head_;
     Arena *arena_;  //!< nullptr for relocated/attached lists

@@ -63,6 +63,46 @@ TEST(MergeStalenessTest, NoStaleReadsAtAnyPausePoint)
     }
 }
 
+TEST(MergeStalenessTest, SnapshotKeptVersionsNeverShadowTheNewest)
+{
+    // A pinned snapshot (keep_seq 0: every version stays) makes the
+    // older versions of "k" travel through the insertion mark as steps
+    // of their own. Once k@30 reached the oldtable, the newtable and
+    // the mark still hold k@20 / k@10; the protocol must keep
+    // answering k@30 at every pause point.
+    for (uint64_t pause_at = 0; pause_at < 6; pause_at++) {
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        lsm::MemTable old_mem(1 << 16, 1);
+        old_mem.add(Slice("a"), 2, EntryType::kValue, Slice("a-old"));
+        old_mem.add(Slice("k"), 1, EntryType::kValue, Slice("k-v1"));
+        lsm::MemTable new_mem(1 << 16, 2);
+        new_mem.add(Slice("k"), 10, EntryType::kValue, Slice("k-v10"));
+        new_mem.add(Slice("k"), 20, EntryType::kValue, Slice("k-v20"));
+        new_mem.add(Slice("k"), 30, EntryType::kValue, Slice("k-v30"));
+        new_mem.add(Slice("z"), 12, EntryType::kValue, Slice("z-new"));
+
+        auto op = std::make_shared<MergeOp>();
+        op->oldt = onePieceFlush(&old_mem, &nvm, &stats, 16, 1);
+        op->newt = onePieceFlush(&new_mem, &nvm, &stats, 16, 2);
+        const bool complete = zeroCopyMerge(
+            op.get(), &nvm, &stats,
+            [&](uint64_t moved) { return moved < pause_at; },
+            /*keep_seq=*/0);
+
+        std::string v;
+        EntryType t;
+        uint64_t seq = 0;
+        ASSERT_TRUE(mergeAwareGet(op.get(), Slice("k"), &v, &t, &seq))
+            << "pause=" << pause_at;
+        EXPECT_EQ(v, "k-v30") << "pause=" << pause_at;
+        EXPECT_EQ(seq, 30u) << "pause=" << pause_at;
+        if (!complete)
+            ASSERT_TRUE(resumeZeroCopyMerge(op.get(), &nvm, &stats,
+                                            nullptr, /*keep_seq=*/0));
+    }
+}
+
 TEST(MergeStalenessTest, ConcurrentReaderNeverSeesOldVersion)
 {
     // Hot key rewritten many times inside the newtable; a racing
