@@ -17,7 +17,7 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 # assertion needs the writer to outrun background migration, which
 # TSan's slowdown prevents (no race involved -- it runs in the
 # normal-build suite).
-TSAN_TESTS="${MIO_TSAN_TESTS:-group_commit_test|miodb_concurrency_test|multiwriter_test|miodb_recovery_test|failpoint_test|bloom_summary_test|fence_index_test|flush_shutdown_test|fault_soak_test|sched_test|sharded_store_test|snapshot_iterator_test|value_log_test|instant_recovery_test|read_cache_test}"
+TSAN_TESTS="${MIO_TSAN_TESTS:-group_commit_test|miodb_concurrency_test|multiwriter_test|miodb_recovery_test|failpoint_test|bloom_summary_test|fence_index_test|flush_shutdown_test|fault_soak_test|sched_test|sharded_store_test|snapshot_iterator_test|value_log_test|crash_sweep_test|read_cache_test}"
 
 if [ "${1:-}" != "--tsan-only" ]; then
     echo "=== tier-1: build + full test suite"
@@ -44,10 +44,6 @@ if [ "${1:-}" != "--tsan-only" ]; then
     (cd build && ctest --output-on-failure -L vlog)
     echo "=== vlog bench smoke (keeps bench/micro_vlog honest)"
     build/bench/micro_vlog --smoke
-    echo "=== recovery suite (instant recovery: serve while replaying)"
-    (cd build && ctest --output-on-failure -L recovery)
-    echo "=== recovery bench smoke (keeps bench/micro_recovery honest)"
-    build/bench/micro_recovery --smoke
     echo "=== cache suite (memory governor + DRAM read cache)"
     (cd build && ctest --output-on-failure -L cache)
     echo "=== cache bench smoke (keeps bench/micro_cache honest)"

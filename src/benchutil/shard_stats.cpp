@@ -29,10 +29,7 @@ statsRow(const std::string &label, const StatsSnapshot &s)
             std::to_string(s.vlog_gc_relocated_bytes),
             std::to_string(s.vlog_gc_reclaimed_bytes),
             std::to_string(s.wal_frames_replayed),
-            std::to_string(s.wal_frames_on_demand),
-            std::to_string(s.recovery_pending_segments),
             std::to_string(s.recovery_ms_to_ready),
-            std::to_string(s.recovery_ms_to_drained),
             std::to_string(s.cache_hits),
             std::to_string(s.cache_misses),
             std::to_string(s.gov_memtable_bytes),
@@ -54,19 +51,18 @@ printShardStats(KVStore *store)
     }
     // Facade `scans` counts user-facing calls, shard `scans` the
     // N-way fan-out, so the scans column's sum row exceeds the
-    // facade's own counter by design. The recovery *_ms columns
-    // aggregate by MAX, not sum (the machine is ready/drained when
-    // its slowest shard is); rec_pend is a live gauge. The cache and
-    // governor columns are nonzero only in the sum row for sharded
-    // MioDB: one shared cache and one governor serve the whole set,
-    // and their counters/gauges live in the facade's extra sink.
+    // facade's own counter by design. The ready_ms column aggregates
+    // by MAX, not sum (the machine is ready when its slowest shard
+    // is). The cache and governor columns are nonzero only in the sum
+    // row for sharded MioDB: one shared cache and one governor serve
+    // the whole set, and their counters/gauges live in the facade's
+    // extra sink.
     TableReporter tbl(
         "Per-shard counters (sum row = facade aggregate)",
         {"shard", "puts", "gets", "scans", "flushes", "zcm", "lcm",
          "vl_app", "vl_deref", "vl_segs", "vl_gc", "vl_reloc",
-         "vl_reclaim", "replayed", "ondemand", "rec_pend", "ready_ms",
-         "drain_ms", "c_hit", "c_miss", "gov_mt", "tuner", "f_probes",
-         "f_nodes", "f_bytes"});
+         "vl_reclaim", "replayed", "ready_ms", "c_hit", "c_miss",
+         "gov_mt", "tuner", "f_probes", "f_nodes", "f_bytes"});
     for (int i = 0; i < sharded->numShards(); i++) {
         tbl.addRow(statsRow(std::to_string(i),
                             snapshotOf(sharded->shardAt(i).stats())));

@@ -63,9 +63,7 @@ snapshotOf(const StatsCounters &c)
     s.vlog_segments_live = get(c.vlog_segments_live);
     s.wal_frames_replayed = get(c.wal_frames_replayed);
     s.wal_frames_on_demand = get(c.wal_frames_on_demand);
-    s.recovery_pending_segments = get(c.recovery_pending_segments);
     s.recovery_ms_to_ready = get(c.recovery_ms_to_ready);
-    s.recovery_ms_to_drained = get(c.recovery_ms_to_drained);
     s.cache_hits = get(c.cache_hits);
     s.cache_misses = get(c.cache_misses);
     s.cache_evictions = get(c.cache_evictions);
@@ -157,10 +155,8 @@ statsDelta(const StatsSnapshot &a, const StatsSnapshot &b)
     d.wal_frames_replayed = a.wal_frames_replayed - b.wal_frames_replayed;
     d.wal_frames_on_demand =
         a.wal_frames_on_demand - b.wal_frames_on_demand;
-    d.recovery_pending_segments = a.recovery_pending_segments;  // gauge
-    // Open-relative timestamps, not phase counters: carry the reading.
+    // An open-relative timestamp, not a phase counter: carry it.
     d.recovery_ms_to_ready = a.recovery_ms_to_ready;
-    d.recovery_ms_to_drained = a.recovery_ms_to_drained;
     d.cache_hits = a.cache_hits - b.cache_hits;
     d.cache_misses = a.cache_misses - b.cache_misses;
     d.cache_evictions = a.cache_evictions - b.cache_evictions;
@@ -245,13 +241,10 @@ statsAdd(StatsSnapshot *acc, const StatsSnapshot &b)
     acc->vlog_segments_live += b.vlog_segments_live;
     acc->wal_frames_replayed += b.wal_frames_replayed;
     acc->wal_frames_on_demand += b.wal_frames_on_demand;
-    acc->recovery_pending_segments += b.recovery_pending_segments;
-    // A machine is ready/drained when its LAST shard is: aggregate
-    // the per-shard timestamps with max, not sum.
+    // A machine is ready when its LAST shard is: aggregate the
+    // per-shard timestamps with max, not sum.
     acc->recovery_ms_to_ready =
         std::max(acc->recovery_ms_to_ready, b.recovery_ms_to_ready);
-    acc->recovery_ms_to_drained =
-        std::max(acc->recovery_ms_to_drained, b.recovery_ms_to_drained);
     acc->cache_hits += b.cache_hits;
     acc->cache_misses += b.cache_misses;
     acc->cache_evictions += b.cache_evictions;
@@ -337,9 +330,7 @@ loadInto(const StatsSnapshot &s, StatsCounters *out)
     set(out->vlog_segments_live, s.vlog_segments_live);
     set(out->wal_frames_replayed, s.wal_frames_replayed);
     set(out->wal_frames_on_demand, s.wal_frames_on_demand);
-    set(out->recovery_pending_segments, s.recovery_pending_segments);
     set(out->recovery_ms_to_ready, s.recovery_ms_to_ready);
-    set(out->recovery_ms_to_drained, s.recovery_ms_to_drained);
     set(out->cache_hits, s.cache_hits);
     set(out->cache_misses, s.cache_misses);
     set(out->cache_evictions, s.cache_evictions);
@@ -436,18 +427,10 @@ StatsSnapshot::toString() const
                  static_cast<unsigned long long>(vlog_gc_reclaimed_bytes));
         out += buf;
     }
-    if (wal_frames_replayed > 0 || recovery_pending_segments > 0 ||
-        recovery_ms_to_ready > 0) {
-        snprintf(buf, sizeof(buf),
-                 "\nrecovery: frames=%llu on_demand=%llu "
-                 "pending_segs=%llu ready_ms=%llu drained_ms=%llu",
+    if (wal_frames_replayed > 0 || recovery_ms_to_ready > 0) {
+        snprintf(buf, sizeof(buf), "\nrecovery: frames=%llu ready_ms=%llu",
                  static_cast<unsigned long long>(wal_frames_replayed),
-                 static_cast<unsigned long long>(wal_frames_on_demand),
-                 static_cast<unsigned long long>(
-                     recovery_pending_segments),
-                 static_cast<unsigned long long>(recovery_ms_to_ready),
-                 static_cast<unsigned long long>(
-                     recovery_ms_to_drained));
+                 static_cast<unsigned long long>(recovery_ms_to_ready));
         out += buf;
     }
     if (cache_hits > 0 || cache_misses > 0 || gov_cache_limit > 0 ||

@@ -117,18 +117,13 @@ struct StatsCounters {
     /** Gauge: segments currently holding data. */
     std::atomic<uint64_t> vlog_segments_live{0};
 
-    // -- instant recovery (WAL replay after open) --
-    /** WAL frames applied by replay (background + on-demand). */
+    // -- recovery (WAL replay at open) --
+    /** WAL records applied by the open-time replay. */
     std::atomic<uint64_t> wal_frames_replayed{0};
-    /** Frames replayed synchronously to answer a blocked get/scan. */
+    /** Always 0: no record is replayed on demand after open. */
     std::atomic<uint64_t> wal_frames_on_demand{0};
-    /** Gauge: pre-crash segments still holding unreplayed frames. */
-    std::atomic<uint64_t> recovery_pending_segments{0};
-    /** open() -> store serving (full-replay opens: includes replay). */
+    /** open() -> store serving (includes the replay). */
     std::atomic<uint64_t> recovery_ms_to_ready{0};
-    /** open() -> last pending frame applied (== ready when instant
-     *  recovery is off or the WAL was empty). */
-    std::atomic<uint64_t> recovery_ms_to_drained{0};
 
     // -- memory governor + DRAM read cache --
     /** Read-cache probes answered from DRAM. */
@@ -151,7 +146,7 @@ struct StatsCounters {
 
     // -- background scheduler (per-job-class observability) --
     /** Job classes: flush, lcm, zcm, ssd, wal-recycle, scrub, vloggc,
-     *  wal-replay, memtune. */
+     *  shard-open, memtune. */
     static constexpr int kJobClasses = 9;
     /** Decade latency buckets: <1us, <10us, ..., <1s, >=1s. */
     static constexpr int kSchedLatBuckets = 8;
@@ -245,9 +240,7 @@ struct StatsSnapshot {
     uint64_t vlog_segments_live = 0;
     uint64_t wal_frames_replayed = 0;
     uint64_t wal_frames_on_demand = 0;
-    uint64_t recovery_pending_segments = 0;
     uint64_t recovery_ms_to_ready = 0;
-    uint64_t recovery_ms_to_drained = 0;
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
     uint64_t cache_evictions = 0;

@@ -220,8 +220,7 @@ LsmTree::mergeIntoLevel(int level, KVIterator *iter, const Slice &lo_user,
 
     MergingIterator merged(std::move(children));
     bool bottom = (level >= versions_.lastPopulatedLevel()) &&
-                  options_.drop_tombstones_at_bottom &&
-                  tombstone_reclaim_.load(std::memory_order_acquire);
+                  options_.drop_tombstones_at_bottom;
     std::vector<std::shared_ptr<FileMeta>> outputs;
     Status s = writeTables(&merged, bottom, &outputs);
     if (!s.isOk())
@@ -373,18 +372,29 @@ LsmTree::maybeScheduleCompaction()
     // that releases the claim if the scheduler discards it unexecuted
     // (freeze or shutdown) -- the durable tree is reused by the next
     // store instance, which must find every file unclaimed.
+    // The slot is counted BEFORE the pick claims any file: a waitIdle
+    // probing in between sees the slot busy, never a claimed-but-not-
+    // yet-counted job (it would find nothing to pick and return while
+    // the compaction is about to run).
     const int max_outstanding = std::max(options_.compaction_threads, 1);
-    while (outstanding_.load(std::memory_order_acquire) <
-           max_outstanding) {
-        CompactionJob job = versions_.pickCompaction();
-        if (!job.valid())
+    while (true) {
+        if (outstanding_.fetch_add(1, std::memory_order_acq_rel) >=
+            max_outstanding) {
+            outstanding_.fetch_sub(1, std::memory_order_acq_rel);
             return;
-        outstanding_.fetch_add(1, std::memory_order_acq_rel);
+        }
+        auto job =
+            std::make_shared<CompactionJob>(versions_.pickCompaction());
+        if (!job->valid()) {
+            outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+            sched_->notifyEvent();
+            return;
+        }
         bool accepted = sched_->submit(
             sched::JobClass::kSsdCompaction,
-            [this, job] { runCompactionJob(job); },
+            [this, job] { runCompactionJob(job.get()); },
             [this, job] {
-                versions_.releaseJob(job);
+                versions_.releaseJob(*job);
                 outstanding_.fetch_sub(1, std::memory_order_acq_rel);
             });
         if (!accepted)
@@ -393,18 +403,22 @@ LsmTree::maybeScheduleCompaction()
 }
 
 void
-LsmTree::runCompactionJob(const CompactionJob &job)
+LsmTree::runCompactionJob(CompactionJob *job)
 {
     try {
-        doCompaction(job);
+        doCompaction(*job);
     } catch (const sim::SimCrash &) {
-        versions_.releaseJob(job);
+        versions_.releaseJob(*job);
         crashed_.store(true);
         outstanding_.fetch_sub(1, std::memory_order_acq_rel);
         // Rethrow so the scheduler performs the store-wide freeze and
         // fires the owner's crash callback.
         throw;
     }
+    // The last reference to a compacted-away input deletes its blob.
+    // Drop the job's references before the slot frees, so a waitIdle
+    // that returns sees the final set of files.
+    *job = CompactionJob();
     outstanding_.fetch_sub(1, std::memory_order_acq_rel);
     sched_->notifyEvent();
     maybeScheduleCompaction();
@@ -501,8 +515,7 @@ LsmTree::doCompaction(const CompactionJob &job)
     MergingIterator merged(std::move(children));
     int out_level = std::min(job.level + 1, versions_.numLevels() - 1);
     bool bottom = options_.drop_tombstones_at_bottom &&
-                  out_level >= versions_.lastPopulatedLevel() &&
-                  tombstone_reclaim_.load(std::memory_order_acquire);
+                  out_level >= versions_.lastPopulatedLevel();
 
     std::vector<std::shared_ptr<FileMeta>> outputs;
     Status s = writeTables(&merged, bottom, &outputs);

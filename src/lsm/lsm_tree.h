@@ -149,21 +149,6 @@ class LsmTree
     }
 
     /**
-     * Allow or forbid dropping tombstones at the bottom level. On by
-     * default (a tombstone with nothing below it deletes nothing).
-     * MioDB's instant recovery forbids it while WAL frames are still
-     * pending replay: a pending frame may re-insert an older version
-     * of the deleted key, which a prematurely dropped tombstone would
-     * resurrect. Only consulted where options.drop_tombstones_at_bottom
-     * is set.
-     */
-    void
-    setTombstoneReclaim(bool on)
-    {
-        tombstone_reclaim_.store(on, std::memory_order_release);
-    }
-
-    /**
      * Re-point the tree at a new external scheduler, or detach it
      * (nullptr). The tree's durable state (NvmState in MioDB's SSD
      * mode) outlives the store instance whose scheduler it borrows, so
@@ -184,7 +169,7 @@ class LsmTree
 
   private:
     /** Job body: run @p job, then keep the pipeline primed. */
-    void runCompactionJob(const CompactionJob &job);
+    void runCompactionJob(CompactionJob *job);
     void doCompaction(const CompactionJob &job);
     /** Build the private worker pool (no external scheduler). */
     std::unique_ptr<sched::BackgroundScheduler> makePrivateScheduler();
@@ -218,8 +203,6 @@ class LsmTree
     /** A failpoint (sim::SimCrash) froze this tree's compactions: no
      *  further jobs are submitted, and waitIdle returns immediately. */
     std::atomic<bool> crashed_{false};
-    /** See setTombstoneReclaim. */
-    std::atomic<bool> tombstone_reclaim_{true};
     /** See setDropNotify. */
     std::function<void(EntryType, const Slice &)> drop_notify_;
 };

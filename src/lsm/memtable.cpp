@@ -24,6 +24,8 @@ MemTable::add(const mio::Slice &key, uint64_t seq, mio::EntryType type,
         min_key_ = key.toString();
     if (max_key_.empty() || key.compare(mio::Slice(max_key_)) > 0)
         max_key_ = key.toString();
+    if (seq > max_seq_)
+        max_seq_ = seq;
     return true;
 }
 

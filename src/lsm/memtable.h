@@ -54,6 +54,8 @@ class MemTable
     /** Smallest/largest user keys ever added (empty if none). */
     const std::string &minKey() const { return min_key_; }
     const std::string &maxKey() const { return max_key_; }
+    /** Highest sequence number ever added (0 if none). */
+    uint64_t maxSequence() const { return max_seq_; }
 
     /** Release arena ownership (one-piece flush keeps the image). */
     std::unique_ptr<mio::Arena> releaseArena() { return std::move(arena_); }
@@ -63,6 +65,7 @@ class MemTable
     mio::SkipList list_;
     std::string min_key_;
     std::string max_key_;
+    uint64_t max_seq_ = 0;
 };
 
 } // namespace mio::lsm

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <thread>
 
 namespace mio::mem {
 
@@ -60,11 +61,13 @@ MemoryGovernor::charge(SubBudget b, size_t bytes)
 {
     if (bytes == 0)
         return;
-    // Total first: a concurrent chargesConsistent() may observe the
-    // mid-flight state, where sum(sub) < total -- never the reverse.
-    total_.fetch_add(bytes, std::memory_order_relaxed);
-    charged_[static_cast<int>(b)].fetch_add(bytes,
-                                            std::memory_order_relaxed);
+    // All seq_cst: the witness relies on one total order of these
+    // updates and its own reads.
+    updates_in_flight_.fetch_add(1);
+    total_.fetch_add(bytes);
+    charged_[static_cast<int>(b)].fetch_add(bytes);
+    updates_done_.fetch_add(1);
+    updates_in_flight_.fetch_sub(1);
 }
 
 void
@@ -72,11 +75,13 @@ MemoryGovernor::release(SubBudget b, size_t bytes)
 {
     if (bytes == 0)
         return;
-    uint64_t prev = charged_[static_cast<int>(b)].fetch_sub(
-        bytes, std::memory_order_relaxed);
+    updates_in_flight_.fetch_add(1);
+    uint64_t prev = charged_[static_cast<int>(b)].fetch_sub(bytes);
     assert(prev >= bytes && "sub-budget release exceeds charge");
     (void)prev;
-    total_.fetch_sub(bytes, std::memory_order_relaxed);
+    total_.fetch_sub(bytes);
+    updates_done_.fetch_add(1);
+    updates_in_flight_.fetch_sub(1);
 }
 
 uint64_t
@@ -252,22 +257,23 @@ MemoryGovernor::tunerMoves() const
 bool
 MemoryGovernor::chargesConsistent() const
 {
-    // Two stable reads of total bracketing the sub sums: if nothing
-    // moved, equality must hold; if something moved, retry a few
-    // times and accept sum <= total (a mid-flight charge bumps total
-    // first, so the sum can only read low).
-    for (int attempt = 0; attempt < 4; attempt++) {
-        uint64_t before = total_.load(std::memory_order_acquire);
-        uint64_t sum = 0;
-        for (int i = 0; i < kNumSubBudgets; i++)
-            sum += charged_[i].load(std::memory_order_relaxed);
-        uint64_t after = total_.load(std::memory_order_acquire);
-        if (before == after)
-            return sum == before;
-        if (sum > std::max(before, after))
-            return false;
+    // Compare only over a quiet window: no charge or release between
+    // its two updates at either end, and none finished in between
+    // (any read inside a charge or release sees sum and total apart).
+    for (int attempt = 0; attempt < 8; attempt++) {
+        const uint64_t done = updates_done_.load();
+        if (updates_in_flight_.load() == 0) {
+            const uint64_t total = total_.load();
+            uint64_t sum = 0;
+            for (int i = 0; i < kNumSubBudgets; i++)
+                sum += charged_[i].load();
+            if (updates_in_flight_.load() == 0 &&
+                updates_done_.load() == done)
+                return sum == total;
+        }
+        std::this_thread::yield();
     }
-    return true; // persistently concurrent: no drift evidence
+    return true; // never quiet: no drift evidence
 }
 
 std::string

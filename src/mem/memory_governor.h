@@ -159,9 +159,8 @@ class MemoryGovernor
 
     /**
      * Drift witness: sum of sub-budget charges equals the redundant
-     * total. Exact at quiescence; a concurrent mid-flight charge can
-     * only make the sum read low, never high, so `sum > total` is
-     * always a bug.
+     * total, compared over a window in which no charge or release
+     * runs (true when no such window shows up: no evidence).
      */
     bool chargesConsistent() const;
 
@@ -186,6 +185,10 @@ class MemoryGovernor
 
     std::atomic<uint64_t> charged_[kNumSubBudgets]{};
     std::atomic<uint64_t> total_{0};
+    /** Charges/releases between their two updates (the witness waits
+     *  for none) and a count of finished ones (it detects a change). */
+    std::atomic<uint64_t> updates_in_flight_{0};
+    std::atomic<uint64_t> updates_done_{0};
     std::atomic<uint64_t> limits_[kNumSubBudgets]{};
     std::atomic<int> memtable_chargers_{0};
 

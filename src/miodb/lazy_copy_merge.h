@@ -142,16 +142,6 @@ class Repository
      * adoption alongside rebindStats; pass nullptr to detach.
      */
     virtual void setDropNotify(DropNotify fn) { (void)fn; }
-
-    /**
-     * Gate bottom-level tombstone reclamation. Instant recovery turns
-     * it off while WAL frames are still pending: a tombstone dropped
-     * "because nothing lives below" could be resurrected by a frame
-     * replaying an older value of the key afterwards. PmRepository
-     * needs no override -- its tombstone elision is already gated per
-     * merge by keep_seq, which the store floors during recovery.
-     */
-    virtual void setTombstoneReclaim(bool on) { (void)on; }
 };
 
 /** Huge persistent skip list in NVM (the paper's primary design). */
@@ -238,11 +228,6 @@ class SsdRepository : public Repository
     setDropNotify(DropNotify fn) override
     {
         lsm_.setDropNotify(std::move(fn));
-    }
-    void
-    setTombstoneReclaim(bool on) override
-    {
-        lsm_.setTombstoneReclaim(on);
     }
 
     lsm::LsmTree &lsm() { return lsm_; }

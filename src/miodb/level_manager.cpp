@@ -233,18 +233,21 @@ BufferLevel::finishMigration()
 }
 
 size_t
-BufferLevel::arenaBytes() const
+BufferLevel::arenaBytes(std::unordered_set<const Arena *> *seen) const
 {
+    std::unordered_set<const Arena *> local;
+    if (seen == nullptr)
+        seen = &local;
     std::lock_guard<std::mutex> lock(mu_);
     size_t total = 0;
     for (const auto &t : tables_)
-        total += t->arenaBytes();
+        total += t->arenaBytes(seen);
     if (merge_) {
-        total += merge_->newt->arenaBytes();
-        total += merge_->oldt->arenaBytes();
+        total += merge_->newt->arenaBytes(seen);
+        total += merge_->oldt->arenaBytes(seen);
     }
     if (migrating_)
-        total += migrating_->arenaBytes();
+        total += migrating_->arenaBytes(seen);
     return total;
 }
 
@@ -349,9 +352,12 @@ LevelManager::totalTables() const
 size_t
 LevelManager::totalArenaBytes() const
 {
+    // One set across levels: a merge result is published one level
+    // down before its pair leaves the level above.
+    std::unordered_set<const Arena *> seen;
     size_t total = 0;
     for (const auto &level : levels_)
-        total += level.arenaBytes();
+        total += level.arenaBytes(&seen);
     return total;
 }
 

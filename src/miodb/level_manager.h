@@ -174,8 +174,11 @@ class BufferLevel
     std::shared_ptr<PMTable> migratingTable() const;
     void finishMigration();
 
-    /** Total NVM bytes referenced by this level's tables. */
-    size_t arenaBytes() const;
+    /**
+     * Total NVM bytes referenced by this level's tables, each arena
+     * counted once (see PMTable::arenaBytes for @p seen).
+     */
+    size_t arenaBytes(std::unordered_set<const Arena *> *seen = nullptr) const;
 
     /** Resident and migrating tables that have no fence index. */
     std::vector<std::shared_ptr<PMTable>> unfencedTables() const;
@@ -230,9 +233,8 @@ class LevelManager
 
     /**
      * True while any level has a merge or migration in flight. Used
-     * to gate exact accounting comparisons: an in-flight zero-copy
-     * merge's absorb() co-owns arenas, so totalArenaBytes()
-     * transiently double-counts until the merge finishes.
+     * to gate exact accounting comparisons: the governor's charge
+     * settles only when the merge finishes.
      */
     bool anyLevelBusy() const;
 

@@ -51,11 +51,6 @@ MioDB::backgroundWorkerCount() const
     // rotation waits for always finds a free worker.
     if (options_.value_separation_threshold > 0)
         n += 1;
-    // Instant recovery runs WAL replay as a background stream that
-    // competes with foreground-triggered flushes; give it its own slot
-    // so a long replay never starves the pipeline that drains it.
-    if (options_.instant_recovery)
-        n += 1;
     // The kMemTuner pass is cheap but periodic; a dedicated slot keeps
     // its cadence steady when every other worker is busy compacting.
     if (options_.adaptive_memory)
@@ -89,10 +84,6 @@ MioDB::startScheduler(sched::BackgroundScheduler *shared)
                                 pressed);
         sched_->setUrgencyProbe(sched::JobClass::kZeroCopyMerge,
                                 pressed);
-        // A foreground op blocked on un-replayed frames escalates the
-        // replay stream the same way memory pressure escalates merges.
-        sched_->setUrgencyProbe(sched::JobClass::kWalReplay,
-                                [this] { return replayUrgent(); });
     }
     compact_scheduled_ =
         std::make_unique<std::atomic<bool>[]>(options_.elastic_levels);
@@ -178,11 +169,16 @@ MioDB::flushJob()
         stats_.flush_count.fetch_add(1, std::memory_order_relaxed);
         // A crash before the push loses the PMTable image but the WAL
         // segment survives (it is recycled only after the push);
-        // after the push, replay of the same segment merely
-        // re-inserts entries that sequence-number dedup discards.
+        // after the push, replay skips the segment's records by
+        // sequence (see NvmState::last_sequence).
         MIO_FAILPOINT("flush.before_publish");
         const size_t table_bytes = table->arenaBytes();
         state_->levels.level(0).push(std::move(table));
+        // Only after the publish: from here a reopen skips the imm's
+        // records (FIFO flushes keep every lower sequence published;
+        // this job is the only writer).
+        if (imm.mem->maxSequence() > state_->last_sequence.load())
+            state_->last_sequence.store(imm.mem->maxSequence());
         MIO_FAILPOINT("flush.after_publish");
         chargeNvmBuffer(table_bytes);
         assert(governor_->chargesConsistent());
@@ -210,7 +206,7 @@ void
 MioDB::scheduleWalRecycle(uint64_t wal_id)
 {
     // Dropping the job on a crash-freeze is safe: replaying a flushed
-    // segment only re-inserts entries that sequence dedup discards --
+    // segment skips every record by sequence (see replayRecord) --
     // the exact crash window between flush.after_publish and the old
     // synchronous removal, now widened to "until the job runs".
     // Captures are by value (registry outlives the store in every
@@ -478,7 +474,6 @@ MioDB::kickMaintenance()
         scheduleFlush();
     kickCompaction();
     scheduleVlogGc();
-    scheduleWalReplay();
 }
 
 void
@@ -498,19 +493,18 @@ MioDB::scheduleVlogGc()
 {
     if (sched_ == nullptr || crashed_.load() || shutting_down_.load())
         return;
-    if (!vlog_gc_enabled_.load(std::memory_order_acquire))
-        return;
     if (state_->vlog == nullptr || options_.vlog_gc_trigger_ratio <= 0)
+        return;
+    // Held from the enabled check through the submit: the destructor
+    // disables GC under this lock, so no job can be submitted after
+    // its quiesce wait has seen the GC stream idle.
+    std::lock_guard<std::mutex> gl(vlog_gc_mu_);
+    if (!vlog_gc_enabled_.load(std::memory_order_acquire))
         return;
     // Only queue a job when it has something to do: a victim past the
     // trigger ratio, or a fully-relocated segment awaiting its
     // snapshot gate. Keeps idle stores from cycling no-op jobs.
-    bool has_pending;
-    {
-        std::lock_guard<std::mutex> gl(vlog_gc_mu_);
-        has_pending = !vlog_pending_unlinks_.empty();
-    }
-    if (!has_pending &&
+    if (vlog_pending_unlinks_.empty() &&
         !state_->vlog->hasGcCandidate(options_.vlog_gc_trigger_ratio))
         return;
     if (vlog_gc_scheduled_.exchange(true))
@@ -684,89 +678,50 @@ MioDB::vlogGcJob()
 }
 
 void
-MioDB::scheduleWalReplay()
-{
-    if (sched_ == nullptr || crashed_.load() || shutting_down_.load())
-        return;
-    if (replay_paused_.load(std::memory_order_acquire))
-        return;
-    if (recovery_pending_frames_.load(std::memory_order_acquire) == 0)
-        return;
-    if (replay_scheduled_.exchange(true))
-        return;
-    sched_->submit(
-        sched::JobClass::kWalReplay, [this] { walReplayJob(); },
-        [this] {
-            replay_scheduled_.store(false);
-            sched_->notifyEvent();
-        });
-}
-
-void
-MioDB::walReplayJob()
-{
-    while (!shutting_down_.load() && !crashed_.load() &&
-           !replay_paused_.load(std::memory_order_acquire) &&
-           recovery_pending_frames_.load(std::memory_order_acquire) >
-               0) {
-        Writer w;
-        w.replay = ReplayKind::kBatch;
-        w.op_count = 0;
-        w.payload_bytes = 0;
-        Status s;
-        try {
-            s = writeImpl(&w);
-        } catch (const sim::SimCrash &crash) {
-            onSimCrash();
-            break;
-        }
-        if (s.isBusy()) {
-            // Foreground writers hold the queue; their commits (and
-            // any on-demand replay they trigger) make progress. Keep
-            // the token and retry after a backoff, like vlog GC.
-            sched_->submitAfter(
-                sched::JobClass::kWalReplay, 10,
-                [this] { walReplayJob(); },
-                [this] {
-                    replay_scheduled_.store(false);
-                    sched_->notifyEvent();
-                });
-            return;
-        }
-        if (!s.isOk())
-            break;
-        // One batch landed; whoever was waiting is past its frames.
-        replay_urgent_.store(false, std::memory_order_release);
-    }
-    replay_scheduled_.store(false);
-    sched_->notifyEvent();
-    // Un-pause or late frames: don't strand pending work without a
-    // queued job (mirrors the vlog GC tail re-check).
-    if (!shutting_down_.load() && !crashed_.load())
-        scheduleWalReplay();
-}
-
-bool
-MioDB::replayUrgent() const
-{
-    return replay_urgent_.load(std::memory_order_acquire) &&
-           recovery_pending_frames_.load(std::memory_order_acquire) > 0;
-}
-
-void
-MioDB::pauseBackgroundReplayForTesting(bool paused)
-{
-    replay_paused_.store(paused, std::memory_order_release);
-    if (!paused)
-        scheduleWalReplay();
-    else if (sched_ != nullptr)
-        sched_->notifyEvent();
-}
-
-void
 MioDB::simulateCrash()
 {
     onSimCrash();
+}
+
+void
+MioDB::abandonOpen()
+{
+    // Freezing drops every job this open queued (their on_drop hooks
+    // release the tokens); a job already running must finish before
+    // the constructor unwinds the members it touches.
+    onSimCrash();
+    if (owned_sched_ != nullptr) {
+        owned_sched_->shutdown(/*run_pending=*/false);
+    } else {
+        sched::WaitOptions wo;
+        wo.kick = [this] { sched_->notifyEvent(); };
+        wo.tick_ms = 2;
+        sched_->waitUntil(
+            [this] {
+                if (flush_scheduled_.load())
+                    return false;
+                for (int i = 0; i < options_.elastic_levels; i++) {
+                    if (compact_scheduled_[i].load())
+                        return false;
+                }
+                return true;
+            },
+            wo);
+        // A flush job's last touch is its token release under imm_mu_.
+        std::lock_guard<std::mutex> il(imm_mu_);
+    }
+    detachFromNvmState();
+}
+
+void
+MioDB::detachFromNvmState()
+{
+    // The levels and the repository survive in NvmState; drop their
+    // references into this instance (the next open rebinds its own).
+    for (int i = 0; i < state_->levels.numLevels(); i++)
+        state_->levels.level(i).setRetireCallback(nullptr);
+    state_->repo->setDropNotify(nullptr);
+    state_->repo->rebindScheduler(nullptr);
 }
 
 void
@@ -800,11 +755,9 @@ MioDB::recoverInterruptedCompactions()
         BufferLevel &bl = state_->levels.level(i);
         BufferLevel::Snapshot snap = bl.snapshot();
         if (snap.merge) {
-            // No snapshots can be live this early in reopen. Without
-            // instant recovery the default keep_seq (drop everything
-            // shadowed) is safe; with it, recoveryKeepSeq() floors
-            // retention below every un-replayed frame's sequences.
-            // Dropped pointers still decay the vlog estimate.
+            // No snapshots can be live this early in reopen, so the
+            // merge may drop everything shadowed. Dropped pointers
+            // still decay the vlog estimate.
             const DropNotify drop_hook =
                 state_->vlog != nullptr
                     ? DropNotify([this](EntryType t, const Slice &v) {
@@ -812,16 +765,16 @@ MioDB::recoverInterruptedCompactions()
                       })
                     : DropNotify();
             resumeZeroCopyMerge(snap.merge.get(), nvm_, &stats_,
-                                nullptr, recoveryKeepSeq(), drop_hook);
+                                nullptr, kMaxSequence, drop_hook);
             if (i + 1 < state_->levels.numLevels()) {
                 state_->levels.level(i + 1).push(snap.merge->oldt);
                 bl.finishMerge(snap.merge);
             } else {
                 Status ms = state_->repo->mergeTable(
-                    snap.merge->oldt.get(), recoveryKeepSeq());
+                    snap.merge->oldt.get(), kMaxSequence);
                 for (int retry = 0; !ms.isOk() && retry < 3; retry++) {
                     ms = state_->repo->mergeTable(
-                        snap.merge->oldt.get(), recoveryKeepSeq());
+                        snap.merge->oldt.get(), kMaxSequence);
                 }
                 // On persistent failure leave the merge published:
                 // readers still reach oldt through the manifest, so
@@ -832,7 +785,7 @@ MioDB::recoverInterruptedCompactions()
         }
         if (snap.migrating) {
             Status ms = state_->repo->mergeTable(snap.migrating.get(),
-                                                 recoveryKeepSeq());
+                                                 kMaxSequence);
             // On failure the migration stays in flight (still
             // readable); compactLevelOnce retries it once jobs run.
             if (ms.isOk())
@@ -1114,9 +1067,9 @@ MioDB::memoryAccountingConsistent() const
     if (!governor_->chargesConsistent())
         return false;
     // Exact cross-checks against ground truth only make sense at
-    // quiescence: an in-flight zero-copy merge's absorb() co-owns
-    // arenas (totalArenaBytes transiently double-counts), and a
-    // shared governor aggregates every shard's charges.
+    // quiescence: an in-flight merge settles its charge only when it
+    // finishes, and a shared governor aggregates every shard's
+    // charges.
     if (sched_ == nullptr || sched_->busyJobs() != 0 ||
         state_->levels.anyLevelBusy())
         return true;
@@ -1203,17 +1156,6 @@ MioDB::waitIdle()
         if (!idle(sched::JobClass::kVlogGc) ||
             vlog_gc_scheduled_.load())
             return false;
-        // Instant recovery: idle means replay drained too (callers
-        // compare against fully-recovered state). A paused replay is
-        // excluded -- tests pause it precisely to observe the store
-        // mid-recovery, and waiting would deadlock.
-        if (!replay_paused_.load(std::memory_order_acquire) &&
-            recovery_pending_frames_.load(std::memory_order_acquire) >
-                0)
-            return false;
-        if (!idle(sched::JobClass::kWalReplay) ||
-            replay_scheduled_.load())
-            return false;
         // A reopen's fence rebuild republishes manifests: wait for it.
         if (fence_rebuild_scheduled_.load())
             return false;
@@ -1236,8 +1178,6 @@ MioDB::waitIdle()
                stats_.zero_copy_merges.load(
                    std::memory_order_relaxed) +
                stats_.lazy_copy_merges.load(
-                   std::memory_order_relaxed) +
-               stats_.wal_frames_replayed.load(
                    std::memory_order_relaxed);
     };
     wo.denials = [this] {

@@ -13,12 +13,18 @@
 #include "lsm/db_iterator.h"
 #include "lsm/merging_iterator.h"
 #include "miodb/table_probe_iterator.h"
-#include "miodb/wal_format.h"
 #include "sim/failpoint.h"
 #include "util/clock.h"
 #include "util/coding.h"
 
 namespace mio::miodb {
+
+// WAL record encoding (the commit path and replayWal below):
+//   kWalTagSingle  [tag][fixed64 seq][type][lp key][lp value]
+//   kWalTagBatch   [tag][fixed64 first_seq][varint32 count]
+//                  ([type][lp key][lp value])*
+constexpr char kWalTagSingle = 1;
+constexpr char kWalTagBatch = 2;
 
 MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
              sim::SsdDevice *ssd, wal::WalRegistry *wal_registry,
@@ -28,7 +34,7 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
              std::shared_ptr<mem::ReadCache> shared_cache)
     : options_(options), nvm_(nvm), ssd_(ssd)
 {
-    open_start_ns_ = nowNanos();
+    const uint64_t open_start_ns = nowNanos();
     assert(options_.elastic_levels >= 1);
     if (wal_registry != nullptr) {
         registry_ = wal_registry;
@@ -154,30 +160,23 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
         mem_wal_ = registry_->open(walName(mem_wal_id_), nvm_);
     }
 
-    // Instant recovery: index the surviving frames BEFORE interrupted
-    // compactions resume -- their merges must already run under the
-    // floored keep_seq (an un-replayed frame's ops have to order
-    // against every version a merge might otherwise drop).
-    const bool instant =
-        options_.instant_recovery && options_.enable_wal;
-    if (instant)
-        buildRecoveryIndex();
-
     // Fence indexes are DRAM: an adopted image keeps none of them
     // (a power failure would have lost them). Gets use the plain
     // descent until the rebuild job below republishes each table's.
     if (adopted)
         state_->levels.dropFences();
 
-    // Interrupted compactions complete in the foreground, before any
-    // reads or background jobs can observe the half-merged levels; a
-    // SimCrash here propagates out of the constructor as before.
-    recoverInterruptedCompactions();
-
-    // Prime the buffer sub-budget with the adopted image's footprint
-    // (now stable: interrupted merges are resolved, and replay below
-    // charges its flushes incrementally). A fresh store charges 0.
-    chargeNvmBuffer(state_->levels.totalArenaBytes());
+    // A SimCrash during recovery (a failpoint in the interrupted-merge
+    // resume or in the WAL replay) propagates out of the constructor,
+    // after the jobs this open already started are stopped.
+    try {
+        recover();
+    } catch (const sim::SimCrash &) {
+        abandonOpen();
+        throw;
+    }
+    // Vlog GC unlocks only now: its relocations need the commit path.
+    vlog_gc_enabled_.store(true, std::memory_order_release);
 
     if (options_.scrub_interval_ms > 0) {
         scrub_job_id_ = sched_->submitPeriodic(
@@ -199,25 +198,6 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
             });
     }
 
-    if (instant) {
-        if (recovery_pending_frames_.load(std::memory_order_acquire) >
-            0) {
-            scheduleWalReplay();
-        }
-    } else {
-        replayWal();
-    }
-    const bool drained =
-        recovery_pending_frames_.load(std::memory_order_acquire) == 0;
-    if (drained) {
-        // Clear a reclaim gate a crashed instant-recovery run may have
-        // left behind (the repository outlives store instances). Vlog
-        // GC unlocks only here -- its relocations need the commit
-        // path, and during instant recovery an un-replayed frame may
-        // still reference a segment that looks dead.
-        state_->repo->setTombstoneReclaim(true);
-        vlog_gc_enabled_.store(true, std::memory_order_release);
-    }
     // Prime the pipeline: an adopted image (or the replay) may have
     // left flushable immutables and mergeable levels behind.
     kickMaintenance();
@@ -232,44 +212,37 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
             [this] { fenceRebuildJob(); },
             [this] { fence_rebuild_scheduled_.store(false); });
     }
-    const uint64_t ready_ms =
-        (nowNanos() - open_start_ns_) / 1000000;
-    stats_.recovery_ms_to_ready.store(ready_ms,
-                                      std::memory_order_relaxed);
-    if (drained) {
-        stats_.recovery_ms_to_drained.store(ready_ms,
-                                            std::memory_order_relaxed);
-    }
+    stats_.recovery_ms_to_ready.store(
+        (nowNanos() - open_start_ns) / 1000000, std::memory_order_relaxed);
+}
+
+void
+MioDB::recover()
+{
+    // Interrupted compactions complete in the foreground, before any
+    // reads or background jobs can observe the half-merged levels.
+    recoverInterruptedCompactions();
+
+    // Prime the buffer sub-budget with the adopted image's footprint
+    // (now stable: interrupted merges are resolved, and replay below
+    // charges its flushes incrementally). A fresh store charges 0.
+    chargeNvmBuffer(state_->levels.totalArenaBytes());
+
+    replayWal();
 }
 
 MioDB::~MioDB()
 {
-    // Quiesce background replay FIRST: its job writes through the
-    // commit path, and a drain completing after the vlog-GC disable
-    // below would re-enable GC behind the shutdown's back. Pausing
-    // (not draining) is safe -- un-replayed segments stay in the
-    // registry and replay on the next open.
-    replay_paused_.store(true, std::memory_order_release);
-    if (!crashed_.load() && options_.instant_recovery &&
-        options_.enable_wal) {
-        sched::WaitOptions wo;
-        wo.kick = [this] { sched_->notifyEvent(); };
-        wo.tick_ms = 2;
-        sched_->waitUntil(
-            [this] {
-                return (!replay_scheduled_.load() &&
-                        sched_->queued(sched::JobClass::kWalReplay) ==
-                            0 &&
-                        sched_->running(sched::JobClass::kWalReplay) ==
-                            0) ||
-                       crashed_.load() || sched_->frozen();
-            },
-            wo);
-    }
     // GC relocations write through the commit path; stop new GC
     // submissions and drain any in-flight job BEFORE the active
-    // MemTable/WAL handles are torn down below.
-    vlog_gc_enabled_.store(false, std::memory_order_release);
+    // MemTable/WAL handles are torn down below. The flag flips under
+    // vlog_gc_mu_, which scheduleVlogGc holds from its check to its
+    // submit: a job is either visible to the wait below or never
+    // submitted.
+    {
+        std::lock_guard<std::mutex> gl(vlog_gc_mu_);
+        vlog_gc_enabled_.store(false, std::memory_order_release);
+    }
     if (!crashed_.load() && state_->vlog != nullptr) {
         sched::WaitOptions wo;
         wo.kick = [this] { sched_->notifyEvent(); };
@@ -357,13 +330,7 @@ MioDB::~MioDB()
     // Shared pool after a crash: frozen, nothing queued (freeze
     // dropped it), and the facade joins the workers before shards are
     // destroyed -- nothing left references this instance.
-    // The levels survive in NvmState; drop their references into this
-    // dying instance (the next open rebinds its own), and detach the
-    // repository from the pool that just went away.
-    for (int i = 0; i < state_->levels.numLevels(); i++)
-        state_->levels.level(i).setRetireCallback(nullptr);
-    state_->repo->setDropNotify(nullptr);
-    state_->repo->rebindScheduler(nullptr);
+    detachFromNvmState();
     // The value log survives in NvmState; this instance's governor
     // does not. Detach (releasing kVlog) before the books close.
     if (state_->vlog != nullptr)
@@ -418,8 +385,7 @@ MioDB::appendWalOps(const std::vector<OpRef> &ops, size_t from,
     const size_t n = ops.size() - from;
     if (n == 0) {
         // A lone GC relocation whose probe lost to a user write
-        // commits an empty group: nothing to log (the digest header
-        // below would read ops[from] out of bounds).
+        // commits an empty group: nothing to log.
         return Status::ok();
     }
     if (n == 1) {
@@ -432,25 +398,10 @@ MioDB::appendWalOps(const std::vector<OpRef> &ops, size_t from,
         putLengthPrefixedSlice(&record, op.key);
         putLengthPrefixedSlice(&record, op.value);
     } else {
-        // Batch records carry a digest header (min/max key, op count)
-        // so the instant-recovery index scan learns the frame's key
-        // coverage without walking its payload. Singles need none:
-        // their key sits in the fixed prefix already.
         size_t payload = 16;
-        Slice min_key = ops[from].key;
-        Slice max_key = ops[from].key;
-        for (size_t i = from; i < ops.size(); i++) {
+        for (size_t i = from; i < ops.size(); i++)
             payload += ops[i].key.size() + ops[i].value.size() + 11;
-            if (ops[i].key.compare(min_key) < 0)
-                min_key = ops[i].key;
-            if (ops[i].key.compare(max_key) > 0)
-                max_key = ops[i].key;
-        }
-        record.reserve(payload + min_key.size() + max_key.size() + 12);
-        record.push_back(kWalTagDigest);
-        putLengthPrefixedSlice(&record, min_key);
-        putLengthPrefixedSlice(&record, max_key);
-        putVarint32(&record, static_cast<uint32_t>(n));
+        record.reserve(payload);
         record.push_back(kWalTagBatch);
         putFixed64(&record, first_seq);
         putVarint32(&record, static_cast<uint32_t>(n));
@@ -473,7 +424,9 @@ MioDB::replayWal()
 {
     auto names = registry_->list();
     std::sort(names.begin(), names.end());
-    uint64_t max_seq = seq_.load();
+    // Allocation resumes past every version the image already holds.
+    uint64_t max_seq =
+        std::max(seq_.load(), state_->last_sequence.load() + 1);
     std::vector<std::string> replayed;
     // Only segments from BEFORE this instance replay; the fresh
     // segments this instance itself creates (including ones minted by
@@ -490,8 +443,15 @@ MioDB::replayWal()
             continue;
         wal::LogReader reader(segment.get());
         std::string record;
-        while (reader.readRecord(&record))
+        while (reader.readRecord(&record)) {
+            // A crash here loses only DRAM progress: no old segment is
+            // removed until the loop ends, so the next open replays
+            // them all again (and skips this open's re-logged copies).
+            MIO_FAILPOINT("wal.replay.frame");
             replayRecord(Slice(record), &max_seq, &relog_failed);
+            stats_.wal_frames_replayed.fetch_add(
+                1, std::memory_order_relaxed);
+        }
         if (reader.sawCorruption()) {
             stats_.wal_corrupt_frames.fetch_add(
                 1, std::memory_order_relaxed);
@@ -512,20 +472,11 @@ MioDB::replayWal()
 
 void
 MioDB::replayRecord(const Slice &record, uint64_t *max_seq,
-                    bool *relog_failed, bool skip_superseded)
+                    bool *relog_failed)
 {
     Slice input = record;
     if (input.size() < 10)
         return;
-    if (input[0] == kWalTagDigest) {
-        // Unwrap the digest header; the ops live in the inner record.
-        WalDigest d;
-        if (!parseWalDigest(input, &d))
-            return;
-        input = d.inner;
-        if (input.size() < 10)
-            return;
-    }
     char tag = input[0];
     input.removePrefix(1);
     uint64_t seq = decodeFixed64(input.data());
@@ -533,22 +484,13 @@ MioDB::replayRecord(const Slice &record, uint64_t *max_seq,
 
     auto apply = [&](uint64_t op_seq, EntryType type, const Slice &key,
                      const Slice &value) {
-        if (skip_superseded) {
-            // See the declaration: out-of-order (on-demand) replay
-            // must not slot an op under a version that already
-            // superseded it. The probe runs under replay leadership,
-            // like the GC relocation probes.
-            std::string cur;
-            EntryType cur_type = EntryType::kValue;
-            uint64_t cur_seq = 0;
-            bool corrupt = false;
-            if (findNewestRaw(key, &cur, &cur_type, &cur_seq,
-                              &corrupt) &&
-                !corrupt && cur_seq >= op_seq) {
-                *max_seq = std::max(*max_seq, op_seq + 1);
-                return;
-            }
-        }
+        // Skip what the image or this replay already holds: records of
+        // a flushed table whose segment outlived the flush, and the
+        // copies a crashed earlier replay re-logged into segments named
+        // after the originals. Applying such an older op after a newer
+        // one would put it above the newer version in the read order.
+        if (op_seq < *max_seq)
+            return;
         // Insert first, re-log under the CURRENT segment second, so
         // the re-logged copy always lands in the segment paired with
         // the table that holds the entry. (Log-first could strand the
@@ -597,197 +539,6 @@ MioDB::replayRecord(const Slice &record, uint64_t *max_seq,
     }
 }
 
-void
-MioDB::buildRecoveryIndex()
-{
-    auto index = std::make_unique<RecoveryIndex>();
-    uint64_t corrupt = 0;
-    index->build(registry_, walName(first_own_wal_id_), nvm_,
-                 &corrupt);
-    if (corrupt != 0) {
-        stats_.wal_corrupt_frames.fetch_add(corrupt,
-                                            std::memory_order_relaxed);
-    }
-    const size_t pending = index->pendingFrames();
-    if (pending == 0) {
-        // Fresh store or empty survivors: discard the husks exactly
-        // like the full replay would and stay in the drained state.
-        for (const auto &name : index->takeRemovableSegments())
-            registry_->remove(name);
-        return;
-    }
-    // Publish the recovered sequence horizon NOW: a write accepted
-    // before the frames replay must be ordered after every logged op,
-    // or the replayed ops would supersede it. The committed watermark
-    // moves with it -- those sequences ARE durably committed, their
-    // bytes are just not materialized yet (which is exactly what the
-    // on-demand hooks compensate for).
-    const uint64_t max_seq = std::max(index->maxSeq(), seq_.load());
-    seq_.store(max_seq);
-    visible_seq_.store(max_seq - 1, std::memory_order_release);
-    const uint64_t min_first = index->minFirstSeq();
-    recovery_keep_floor_.store(min_first > 0 ? min_first - 1 : 0,
-                               std::memory_order_release);
-    state_->repo->setTombstoneReclaim(false);
-    stats_.recovery_pending_segments.store(
-        index->pendingSegments(), std::memory_order_relaxed);
-    recovery_pending_frames_.store(pending, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> rl(recovery_mu_);
-        recovery_index_ = std::move(index);
-    }
-}
-
-Status
-MioDB::ensureRecovered(ReplayKind kind, const Slice &key)
-{
-    if (recovery_pending_frames_.load(std::memory_order_acquire) == 0)
-        return Status::ok();
-    {
-        std::lock_guard<std::mutex> rl(recovery_mu_);
-        if (recovery_index_ == nullptr ||
-            !recovery_index_->anyPending(kind, key)) {
-            return Status::ok();
-        }
-    }
-    // This op is blocked on un-replayed frames: escalate the
-    // background job until its next batch lands, then claim exactly
-    // the covering frames ourselves through the writer queue.
-    replay_urgent_.store(true, std::memory_order_release);
-    scheduleWalReplay();
-    try {
-        MIO_FAILPOINT("recovery.on_demand");
-        Writer w;
-        w.replay = kind;
-        w.replay_key = key;
-        w.op_count = 0;
-        w.payload_bytes = 0;
-        return writeImpl(&w);
-    } catch (const sim::SimCrash &crash) {
-        onSimCrash();
-        return Status::ioError(std::string("simulated crash at ") +
-                               crash.point());
-    }
-}
-
-Status
-MioDB::applyReplayWriter(Writer *w)
-{
-    std::vector<RecoveryIndex::FrameRef> refs;
-    {
-        std::lock_guard<std::mutex> rl(recovery_mu_);
-        if (recovery_index_ == nullptr)
-            return Status::ok();  // drained while this writer queued
-        const size_t cap =
-            w->replay == ReplayKind::kBatch
-                ? std::max<size_t>(1, options_.replay_batch_frames)
-                : std::numeric_limits<size_t>::max();
-        recovery_index_->collect(w->replay, w->replay_key, cap, &refs);
-    }
-    const bool on_demand = w->replay != ReplayKind::kBatch;
-    bool drained = false;
-    for (const RecoveryIndex::FrameRef &ref : refs) {
-        std::shared_ptr<wal::LogSegment> segment;
-        wal::LogReader::Position pos;
-        {
-            std::lock_guard<std::mutex> rl(recovery_mu_);
-            if (recovery_index_ == nullptr)
-                break;
-            // Memoized: an earlier selector already applied it. (Only
-            // possible across leaderships -- collect() above and this
-            // loop run under the same one.)
-            if (recovery_index_->frame(ref).replayed)
-                continue;
-            segment = recovery_index_->segment(ref).segment;
-            pos = recovery_index_->frame(ref).pos;
-        }
-        // A crash in here loses only DRAM progress: the frame stays in
-        // its (un-removed) segment and replays again on the next open;
-        // already-applied sequences dedup through the MemTable.
-        MIO_FAILPOINT("wal.replay.frame");
-        std::string record;
-        wal::LogReader reader(segment.get());
-        bool relog_ok = true;
-        if (!reader.readAt(pos, &record)) {
-            // Indexed frames passed their CRC at scan time, so damage
-            // here is real media trouble: count it, drop the frame
-            // (its bytes are unreplayable either way).
-            stats_.wal_corrupt_frames.fetch_add(
-                1, std::memory_order_relaxed);
-        } else {
-            uint64_t max_seq = 0;
-            bool relog_failed = false;
-            replayRecord(Slice(record), &max_seq, &relog_failed,
-                         /*skip_superseded=*/true);
-            relog_ok = !relog_failed;
-        }
-        uint64_t pending;
-        {
-            std::lock_guard<std::mutex> rl(recovery_mu_);
-            if (recovery_index_ == nullptr)
-                break;
-            recovery_index_->markReplayed(ref, relog_ok);
-            // A fully-replayed segment leaves the registry only when
-            // every re-log landed durably; otherwise it stays as the
-            // sole durable home of the records the re-log missed.
-            for (const auto &name :
-                 recovery_index_->takeRemovableSegments())
-                registry_->remove(name);
-            pending = recovery_index_->pendingFrames();
-            stats_.recovery_pending_segments.store(
-                recovery_index_->pendingSegments(),
-                std::memory_order_relaxed);
-        }
-        recovery_pending_frames_.store(pending,
-                                       std::memory_order_release);
-        stats_.wal_frames_replayed.fetch_add(1,
-                                             std::memory_order_relaxed);
-        if (on_demand) {
-            stats_.wal_frames_on_demand.fetch_add(
-                1, std::memory_order_relaxed);
-        }
-        if (pending == 0) {
-            drained = true;
-            break;
-        }
-    }
-    if (drained)
-        finishReplayDrain();
-    return Status::ok();
-}
-
-void
-MioDB::finishReplayDrain()
-{
-    {
-        std::lock_guard<std::mutex> rl(recovery_mu_);
-        recovery_index_.reset();
-    }
-    // Order matters: lift the reclamation floor only after the last
-    // frame's inserts are in -- from here merges may again drop
-    // shadowed versions and bottom-level tombstones, and vlog GC may
-    // again treat unreferenced segments as dead.
-    recovery_keep_floor_.store(kMaxSequence, std::memory_order_release);
-    state_->repo->setTombstoneReclaim(true);
-    stats_.recovery_pending_segments.store(0, std::memory_order_relaxed);
-    stats_.recovery_ms_to_drained.store(
-        (nowNanos() - open_start_ns_) / 1000000,
-        std::memory_order_relaxed);
-    replay_urgent_.store(false, std::memory_order_release);
-    if (!shutting_down_.load() &&
-        !vlog_gc_enabled_.load(std::memory_order_acquire)) {
-        vlog_gc_enabled_.store(true, std::memory_order_release);
-        scheduleVlogGc();
-    }
-    sched_->notifyEvent();
-}
-
-uint64_t
-MioDB::recoveryKeepSeq() const
-{
-    return recovery_keep_floor_.load(std::memory_order_acquire);
-}
-
 Status
 MioDB::validateEntry(const Slice &key, const Slice &value) const
 {
@@ -808,9 +559,8 @@ MioDB::writeImpl(Writer *w)
     if (crashed_.load())
         return Status::ioError("simulated crash: store is frozen");
     std::unique_lock<std::mutex> lock(write_mu_);
-    if ((w->relocation || w->replay == ReplayKind::kBatch) &&
-        !writers_.empty()) {
-        // A GC relocation (or a background replay batch) never parks
+    if (w->relocation && !writers_.empty()) {
+        // A GC relocation never parks
         // on the writer queue: a parked job pins its pool worker while
         // the queue's leader may be waiting on a flush that needs that
         // very worker -- a cycle on small pools (and a guaranteed
@@ -824,33 +574,6 @@ MioDB::writeImpl(Writer *w)
     if (w->done)
         return w->status;
 
-    if (w->replay != ReplayKind::kNone) {
-        // Replay leader: no ops of its own, no sequence reservation --
-        // it applies pending WAL frames under their ORIGINAL sequence
-        // numbers. Leadership is what serializes frame application
-        // against every user commit (and against other replay
-        // writers), so no frame can be applied twice concurrently.
-        lock.unlock();
-        Status s;
-        if (crashed_.load()) {
-            s = Status::ioError("simulated crash: store is frozen");
-        } else {
-            try {
-                s = applyReplayWriter(w);
-            } catch (const sim::SimCrash &crash) {
-                onSimCrash();
-                s = Status::ioError(
-                    std::string("simulated crash at ") + crash.point());
-            }
-        }
-        lock.lock();
-        assert(writers_.front() == w);
-        writers_.pop_front();
-        if (!writers_.empty())
-            writers_.front()->cv.notify_one();
-        return s;
-    }
-
     // This writer is the leader: claim followers (in queue order) up
     // to the group byte budget and reserve one contiguous sequence
     // block for every op in the group.
@@ -862,11 +585,6 @@ MioDB::writeImpl(Writer *w)
         for (auto it = writers_.begin() + 1; it != writers_.end();
              ++it) {
             Writer *f = *it;
-            if (f->replay != ReplayKind::kNone) {
-                // A replay writer commits alone (it has no group ops);
-                // it leads once the writers ahead of it drain.
-                break;
-            }
             if (group_bytes + f->payload_bytes >
                 options_.max_group_bytes) {
                 break;
@@ -1390,11 +1108,6 @@ MioDB::findNewestRaw(const Slice &key, std::string *value,
 Status
 MioDB::get(const Slice &key, std::string *value)
 {
-    // Instant recovery: before consulting any source, materialize the
-    // WAL frames whose key range covers this key (no-op once drained).
-    Status er = ensureRecovered(ReplayKind::kKey, key);
-    if (!er.isOk())
-        return er;
     stats_.gets.fetch_add(1, std::memory_order_relaxed);
     // The bounded retry covers one narrow race: a GC unlink can
     // retire a value-log segment between the index lookup and the
@@ -1450,16 +1163,11 @@ Status
 MioDB::scan(const Slice &start_key, int count,
             std::vector<std::pair<std::string, std::string>> *out)
 {
-    // Instant recovery: a scan reads every key >= start_key, so all
-    // pending frames whose range reaches that far must land first.
-    Status er = ensureRecovered(ReplayKind::kFromKey, start_key);
-    if (!er.isOk())
-        return er;
     // A live scan is a scan against a view pinned right now: pin,
     // iterate, release. The pin is what lets merges/flushes proceed
     // at full speed underneath without ever yanking a table (or a
     // repository file) out from under the cursor.
-    Snapshot *snap = captureSnapshot();
+    Snapshot *snap = getSnapshot();
     Status s = scanAt(snap, start_key, count, out);
     releaseSnapshot(snap);
     return s;
@@ -1467,19 +1175,6 @@ MioDB::scan(const Slice &start_key, int count,
 
 Snapshot *
 MioDB::getSnapshot()
-{
-    // A snapshot promises the full committed state at its bound, and
-    // the bound is already past every logged sequence (buildRecoveryIndex
-    // published the horizon) -- so every pending frame must materialize
-    // before capture. Replay failure degrades to capturing anyway: the
-    // snapshot then serves what did materialize, matching the store's
-    // own post-crash contents.
-    (void)ensureRecovered(ReplayKind::kAll, Slice());
-    return captureSnapshot();
-}
-
-Snapshot *
-MioDB::captureSnapshot()
 {
     auto *snap = new MioSnapshot();
     snap->state = state_;
@@ -1559,14 +1254,6 @@ MioDB::oldestSnapshotSeq() const
     // because a snapshot registered after this capture could carry a
     // bound below that shadow (the write may even fail and vanish).
     uint64_t keep = visible_seq_.load(std::memory_order_acquire);
-    // During instant recovery the floor sits below every un-replayed
-    // sequence: a pending frame may carry an OLDER version of any key,
-    // and a merge must not drop the tombstone or newer version that
-    // shadows it (the replay inserts with original sequences, so once
-    // applied the normal shadowing rules take over). kMaxSequence --
-    // i.e. no effect -- once drained.
-    keep = std::min(keep,
-                    recovery_keep_floor_.load(std::memory_order_acquire));
     std::lock_guard<std::mutex> sl(snap_mu_);
     if (!snap_bounds_.empty())
         keep = std::min(keep, *snap_bounds_.begin());

@@ -35,7 +35,6 @@
 #include "miodb/lazy_copy_merge.h"
 #include "miodb/level_manager.h"
 #include "miodb/options.h"
-#include "miodb/recovery_index.h"
 #include "miodb/value_log.h"
 #include "miodb/zero_copy_merge.h"
 #include "sched/background_scheduler.h"
@@ -70,6 +69,14 @@ struct NvmState {
      */
     std::unique_ptr<ValueLog> vlog;
     std::atomic<uint64_t> next_table_id{1};
+    /**
+     * Highest sequence number any flushed table holds (LevelDB's
+     * manifest last_sequence), raised right after a flush publishes
+     * its table. Flushes run in sequence order, so every op at or
+     * below it is in the image: a reopen replays only WAL records
+     * above it, and allocates past it even when the WAL is empty.
+     */
+    std::atomic<uint64_t> last_sequence{0};
 };
 
 class MioDB : public KVStore
@@ -252,29 +259,6 @@ class MioDB : public KVStore
         crash_hook_ = std::move(hook);
     }
 
-    // ---- instant recovery (options.instant_recovery) ----
-
-    /** WAL frames indexed at open but not yet replayed. */
-    uint64_t
-    recoveryPendingFrames() const
-    {
-        return recovery_pending_frames_.load(std::memory_order_acquire);
-    }
-    /** True once every indexed frame has been applied. */
-    bool recoveryDrained() const { return recoveryPendingFrames() == 0; }
-    /**
-     * True while a foreground op is blocked on un-replayed frames --
-     * the kWalReplay urgency signal. Exposed so a shared-scheduler
-     * owner can install one aggregate probe spanning every shard.
-     */
-    bool replayUrgent() const;
-    /**
-     * Test hook: freeze (@p paused) or resume the background replay
-     * job, leaving on-demand replay as the only way frames drain.
-     * This is what lets tests pin the store in the "serving while
-     * recovering" state and compare it against a drained reference.
-     */
-    void pauseBackgroundReplayForTesting(bool paused);
     /**
      * Test hook: @p hook(level) runs on the reading thread right after
      * a point lookup loads a buffer level's manifest and before it
@@ -314,18 +298,6 @@ class MioDB : public KVStore
         /** ok = applied; notFound = superseded (new copy is garbage);
          *  corruption = probe hit damage (liveness unknown). */
         Status relocation_outcome;
-        /**
-         * Instant recovery: a replay writer carries no ops of its own.
-         * When it reaches the queue front, the leader path applies the
-         * pending WAL frames its selector matches (see
-         * applyReplayWriter) with their original sequence numbers
-         * instead of committing a group. kBatch writers come from the
-         * background job and bail busy rather than park (the vlog GC
-         * relocation rule -- a parked job can deadlock small pools);
-         * on-demand kinds park like normal writers.
-         */
-        ReplayKind replay = ReplayKind::kNone;
-        Slice replay_key;  //!< selector key for kKey / kFromKey
         Status status;
         bool done = false;
         std::condition_variable cv;
@@ -386,59 +358,32 @@ class MioDB : public KVStore
      */
     Status appendWalOps(const std::vector<OpRef> &ops, size_t from,
                         uint64_t first_seq);
+    /**
+     * Open-time recovery: finish interrupted merges/migrations, prime
+     * the buffer charge, and replay the WAL. May throw sim::SimCrash.
+     */
+    void recover();
+    /**
+     * A SimCrash escaped recover(): freeze, wait out this instance's
+     * running jobs, and detach from the NVM image, so the constructor
+     * can unwind with no job left referencing this object.
+     */
+    void abandonOpen();
+    /** Drop the NVM image's callbacks into this instance. */
+    void detachFromNvmState();
+    /**
+     * Replay every WAL segment an earlier instance left behind, oldest
+     * first, re-logging each record into this instance's own segments
+     * before the old ones are removed.
+     */
     void replayWal();
     /**
-     * Apply one WAL record's ops with their ORIGINAL sequences.
-     * @p skip_superseded (instant recovery) drops any op whose key
-     * already has a version at or above the op's sequence: on-demand
-     * replay applies frames out of order, so a later frame's version
-     * of a key can reach the store (and sink below the MemTable)
-     * before an earlier frame replays -- inserting the older op then
-     * would break the newest-version-on-top layering reads depend on.
-     * Equal sequences are duplicates (a crash mid-recovery re-replays
-     * frames on the next open) and are dropped by the same check.
+     * Apply one WAL record's ops with their ORIGINAL sequences,
+     * skipping any op below @p max_seq (the next sequence after what
+     * the image and this replay already hold), then raise it.
      */
     void replayRecord(const Slice &record, uint64_t *max_seq,
-                      bool *relog_failed, bool skip_superseded = false);
-
-    // ---- instant recovery ----
-
-    /**
-     * Instant-recovery open: scan the surviving segments' frame
-     * digests into recovery_index_ (no value bytes touched), publish
-     * the recovered sequence horizon, floor the version-reclamation
-     * bound, and disable bottom-level tombstone drops until the
-     * directory drains.
-     */
-    void buildRecoveryIndex();
-    /**
-     * Block until every pending frame matching @p kind / @p key has
-     * been applied: queues a replay writer and lets the leader path
-     * replay exactly the covering frames (memoized -- frames already
-     * applied by an earlier call are skipped). No-op once drained.
-     */
-    Status ensureRecovered(ReplayKind kind, const Slice &key);
-    /** Leader-only: collect, re-read, and apply @p w's frames. */
-    Status applyReplayWriter(Writer *w);
-    /** All frames applied: lift the floor, re-enable tombstone
-     *  reclamation and vlog GC, stamp recovery_ms_to_drained. */
-    void finishReplayDrain();
-    /** Ensure a background replay job is queued (token-dedup). */
-    void scheduleWalReplay();
-    /** Job body: replay batches of replay_batch_frames until drained,
-     *  paused, or the writer queue is contended. */
-    void walReplayJob();
-    /**
-     * keep_seq for recovery-time merges: floored to just below the
-     * oldest un-replayed frame's first sequence while instant
-     * recovery is pending (a replayed op must still find the versions
-     * it shadows -- and be shadowed by what superseded it), and
-     * kMaxSequence otherwise (the historical behaviour).
-     */
-    uint64_t recoveryKeepSeq() const;
-    /** getSnapshot minus the ensureRecovered(kAll) hook: pin exactly
-     *  what is materialized now (scan pins after its own ensure). */
-    Snapshot *captureSnapshot();
+                      bool *relog_failed);
 
     // ---- background maintenance (maintenance.cpp) ----
 
@@ -752,32 +697,6 @@ class MioDB : public KVStore
     std::atomic<bool> shutting_down_{false};
     std::atomic<bool> crashed_{false};
 
-    // ---- instant recovery state ----
-
-    /**
-     * The frame directory built at open when instant_recovery is on
-     * and old segments survived; reset (null) once every frame has
-     * been applied. All access is serialized by recovery_mu_; the
-     * pending-frame count is mirrored into recovery_pending_frames_
-     * so read fast paths never take the mutex when recovery is over.
-     */
-    mutable std::mutex recovery_mu_;
-    std::unique_ptr<RecoveryIndex> recovery_index_;
-    std::atomic<uint64_t> recovery_pending_frames_{0};
-    /**
-     * Version-reclamation floor while frames are pending: one below
-     * the oldest un-replayed first sequence, folded into
-     * oldestSnapshotSeq and recoveryKeepSeq so no merge drops a
-     * version (or a tombstone) that an un-replayed frame's ops must
-     * still order against. kMaxSequence once drained (no effect).
-     */
-    std::atomic<uint64_t> recovery_keep_floor_{kMaxSequence};
-    std::atomic<bool> replay_scheduled_{false};
-    /** Test pause hook; doubles as the destructor's quiesce latch. */
-    std::atomic<bool> replay_paused_{false};
-    /** A foreground op hit un-replayed frames; cleared per batch. */
-    std::atomic<bool> replay_urgent_{false};
-    uint64_t open_start_ns_ = 0;  //!< recovery_ms_* are open-relative
     /**
      * Set while the flush job cannot materialize a PMTable because
      * the NVM budget is exhausted; lets the destructor stop waiting

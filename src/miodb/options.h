@@ -180,25 +180,6 @@ struct MioOptions {
      */
     double vlog_gc_trigger_ratio = 0.5;
 
-    // ---- instant recovery (see DESIGN.md Sec. 5j) ------------------
-
-    /**
-     * Serve traffic while the WAL replays: open() only scans the
-     * surviving segments' frame digests (min/max key, op count) into a
-     * RecoveryIndex and returns; frames are applied incrementally by a
-     * kWalReplay background job, and a get/scan that touches a
-     * not-yet-replayed key range replays just the covering frames
-     * on demand first. Off: open() replays the whole WAL before
-     * returning (the pre-instant behaviour).
-     */
-    bool instant_recovery = false;
-
-    /**
-     * Frames one background replay pass applies before yielding the
-     * writer queue (and its worker) back to foreground traffic.
-     */
-    size_t replay_batch_frames = 64;
-
     // ---- memory governor + DRAM read cache (DESIGN.md Sec. 5k) -----
 
     /**

@@ -48,12 +48,14 @@ PMTable::bloomMayContain(const Slice &key) const
 }
 
 size_t
-PMTable::arenaBytes() const
+PMTable::arenaBytes(std::unordered_set<const Arena *> *seen) const
 {
     std::lock_guard<std::mutex> lock(meta_mu_);
     size_t total = 0;
-    for (const auto &arena : arenas_)
-        total += arena->capacity();
+    for (const auto &arena : arenas_) {
+        if (seen == nullptr || seen->insert(arena.get()).second)
+            total += arena->capacity();
+    }
     return total;
 }
 

@@ -95,8 +95,12 @@ ValueLog::append(const Slice &key, const Slice &value, ValuePointer *out)
     encodeFixed32(frame.data(),
                   recordChecksum(frame.data() + 4, frame_len - 4));
 
+    // Appends run one at a time from reservation to persist, so frames
+    // become durable in segment order: a frame a crash tears is always
+    // the last one, and the recovery rescan's truncation at the first
+    // bad CRC can never hide a later, acknowledged frame.
+    std::lock_guard<std::mutex> append_lock(append_mu_);
     std::shared_ptr<Segment> seg;
-    size_t off;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (head_ == nullptr ||
@@ -109,28 +113,21 @@ ValueLog::append(const Slice &key, const Slice &value, ValuePointer *out)
                 return Status::busy("vlog segment allocation denied");
         }
         seg = head_;
-        off = seg->used.load(std::memory_order_relaxed);
-        // Reserve the range under the lock. The frame bytes are
-        // written outside the lock, so the writer mark goes up first:
-        // a scrubber that observes the new tail (release/acquire on
-        // `used`) is guaranteed to also observe inflight != 0 and
-        // keep off the segment until the persist below lands.
-        seg->inflight.fetch_add(1, std::memory_order_relaxed);
-        seg->used.store(off + frame_len, std::memory_order_release);
-        seg->payload_bytes.fetch_add(value.size(),
-                                     std::memory_order_relaxed);
-        seg->live_bytes.fetch_add(value.size(),
-                                  std::memory_order_relaxed);
     }
+    const size_t off = seg->used.load(std::memory_order_relaxed);
 
     nvm_->write(seg->base + off, frame.data(), frame_len,
                 sim::WriteKind::kFramed);
     // A crash here is a torn append: the frame bytes are written but
-    // not persist-covered, so the shadow model rolls them back and the
-    // recovery rescan truncates the tail at the bad frame CRC.
+    // not persist-covered, so the shadow model rolls them back; `used`
+    // never covered them, and the next append reuses the range.
     MIO_FAILPOINT("vlog.append");
     nvm_->persist(seg->base + off, frame_len);
-    seg->inflight.fetch_sub(1, std::memory_order_release);
+    seg->payload_bytes.fetch_add(value.size(), std::memory_order_relaxed);
+    seg->live_bytes.fetch_add(value.size(), std::memory_order_relaxed);
+    // Publish the tail only now: readers, GC and the scrubber (acquire
+    // on `used`) see persisted frames and nothing else.
+    seg->used.store(off + frame_len, std::memory_order_release);
 
     out->segment_id = seg->id;
     out->offset = off + kFrameHeader + key.size();
@@ -392,9 +389,6 @@ ValueLog::recoverAfterCrash()
         // The pending-unlink list was in-memory and is gone; a queued
         // segment must become pickable again to be re-discovered.
         seg->gc_queued = false;
-        // An append interrupted by the crash never dropped its writer
-        // mark; clear it or the scrubber shuns the segment forever.
-        seg->inflight.store(0, std::memory_order_relaxed);
     }
     head_ = nullptr;
 }
@@ -414,14 +408,9 @@ ValueLog::scrub(uint64_t *bytes_verified) const
     uint64_t mismatches = 0;
     uint64_t scanned = 0;
     for (const auto &seg : segs) {
-        // Bound first, writer check second: any append reserved below
-        // this bound either still holds its writer mark (segment
-        // skipped) or has release-decremented it after the persist
-        // (its bytes are visible to the acquire load). Appends
-        // starting later write past the bound, outside this scan.
+        // Every frame below the acquired tail is persisted; appends
+        // landing meanwhile write past it, outside this scan.
         const size_t used = seg->used.load(std::memory_order_acquire);
-        if (seg->inflight.load(std::memory_order_acquire) != 0)
-            continue;  // hot tail: next pass gets it
         nvm_->chargeRead(used);
         size_t off = 0;
         while (off + kFrameHeader <= used) {

@@ -23,8 +23,9 @@
  * key, and relocates still-referenced payloads to the head segment.
  *
  * Thread safety: append/read/noteDead may race freely (appends are
- * serialized by the mutex; readers resolve a segment id to an owning
- * shared_ptr under the mutex and then read immutable bytes). Segment
+ * serialized end to end, so frames persist in segment order; readers
+ * resolve a segment id to an owning shared_ptr under the mutex and
+ * then read immutable bytes). Segment
  * regions are freed only when the last reference drops, so a reader
  * holding a segment across a concurrent GC unlink stays safe.
  */
@@ -211,16 +212,9 @@ class ValueLog
         uint64_t id = 0;
         char *base = nullptr;
         size_t capacity = 0;
-        /** Bytes of valid frames (append order, persist-covered). */
+        /** Bytes of valid frames (append order, persist-covered);
+         *  raised only after a frame's persist. */
         std::atomic<size_t> used{0};
-        /**
-         * Appends holding a reserved range whose frame bytes are not
-         * yet persist-covered. Incremented before the reservation is
-         * published (so a scrubber that sees the new tail also sees
-         * the writer), decremented with release after the persist;
-         * the scrubber skips the segment while non-zero.
-         */
-        std::atomic<int> inflight{0};
         /** Payload bytes ever appended (GC-ratio denominator). */
         std::atomic<uint64_t> payload_bytes{0};
         /** Payload bytes presumed still referenced. */
@@ -248,6 +242,8 @@ class ValueLog
     std::shared_ptr<mem::MemoryGovernor> governor_;  //!< guarded by mu_
     const size_t segment_bytes_;
 
+    /** Serializes appends from reservation through persist. */
+    std::mutex append_mu_;
     mutable std::mutex mu_;
     std::map<uint64_t, std::shared_ptr<Segment>> segments_;
     std::shared_ptr<Segment> head_;

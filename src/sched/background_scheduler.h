@@ -66,7 +66,7 @@ enum class JobClass : int {
     kWalRecycle = 4,    //!< removing WAL segments of flushed tables
     kScrub = 5,         //!< periodic integrity verification
     kVlogGc = 6,        //!< value-log segment garbage collection
-    kWalReplay = 7,     //!< instant recovery: incremental WAL replay
+    kWalReplay = 7,     //!< recovery: a shard's open (WAL replay)
     kMemTuner = 8,      //!< memory-governor self-tuning pass
 };
 

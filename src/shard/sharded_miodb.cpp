@@ -65,15 +65,6 @@ ShardedMioDB::ShardedMioDB(const miodb::MioOptions &shard_options,
     };
     sched->setUrgencyProbe(sched::JobClass::kLazyCopyMerge, pressed);
     sched->setUrgencyProbe(sched::JobClass::kZeroCopyMerge, pressed);
-    // Same aggregation for replay urgency: escalate the pool's replay
-    // stream while ANY shard has a foreground op blocked on frames.
-    sched->setUrgencyProbe(sched::JobClass::kWalReplay, [this] {
-        for (auto &s : shards_) {
-            if (static_cast<miodb::MioDB *>(s.get())->replayUrgent())
-                return true;
-        }
-        return false;
-    });
 
     registerExtraStats(&sched_stats);
 
@@ -155,7 +146,7 @@ ShardedMioDB::buildShards(const miodb::MioOptions &shard_options,
     }
 
     // Shard construction (segment-directory scan, interrupted-
-    // compaction completion, recovery indexing or full WAL replay) is
+    // compaction completion, WAL replay) is
     // independent per shard, so open all shards concurrently on the
     // pool just built for them. Each slot is written by exactly one
     // job; a failed slot stays null. Deterministic mode (0 workers)
@@ -253,7 +244,6 @@ ShardedMioDB::~ShardedMioDB()
     // ShardedKvStore base starts destroying shards under a live pool.
     sched->setUrgencyProbe(sched::JobClass::kLazyCopyMerge, nullptr);
     sched->setUrgencyProbe(sched::JobClass::kZeroCopyMerge, nullptr);
-    sched->setUrgencyProbe(sched::JobClass::kWalReplay, nullptr);
 
     if (crashed.load(std::memory_order_acquire)) {
         // Power failure: the pool is frozen but a worker may still be
@@ -270,32 +260,6 @@ miodb::MioDB &
 ShardedMioDB::mioShard(int i)
 {
     return *static_cast<miodb::MioDB *>(shards_[i].get());
-}
-
-uint64_t
-ShardedMioDB::recoveryPendingFrames() const
-{
-    uint64_t pending = 0;
-    for (const auto &s : shards_) {
-        pending += static_cast<const miodb::MioDB *>(s.get())
-                       ->recoveryPendingFrames();
-    }
-    return pending;
-}
-
-bool
-ShardedMioDB::recoveryDrained() const
-{
-    return recoveryPendingFrames() == 0;
-}
-
-void
-ShardedMioDB::pauseBackgroundReplayForTesting(bool paused)
-{
-    for (auto &s : shards_) {
-        static_cast<miodb::MioDB *>(s.get())
-            ->pauseBackgroundReplayForTesting(paused);
-    }
 }
 
 void

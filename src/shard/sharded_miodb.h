@@ -125,14 +125,6 @@ class ShardedMioDB : private detail::MioShardInfra, public ShardedKvStore
     /** Shard @p i as its concrete type (tests/benches introspect). */
     miodb::MioDB &mioShard(int i);
 
-    /** WAL frames still awaiting replay, summed across shards. */
-    uint64_t recoveryPendingFrames() const;
-    /** True once every shard's instant recovery has drained. */
-    bool recoveryDrained() const;
-    /** Pause/resume every shard's background replay (tests observe
-     *  the mid-recovery state; on-demand replay stays live). */
-    void pauseBackgroundReplayForTesting(bool paused);
-
     /** The shared maintenance pool. */
     sched::BackgroundScheduler &scheduler() { return *sched; }
 

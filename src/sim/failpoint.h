@@ -93,12 +93,8 @@ inline constexpr const char *kCrashPoints[] = {
     "vlog.append",
     "vlog.gc.relocate",
     "vlog.gc.before_unlink",
-    // instant recovery: index scan at open, incremental frame replay
-    // (background batches and the foreground on-demand path both pass
-    // through wal.replay.frame), and the on-demand claim itself
-    "recovery.index.build",
+    // recovery: one WAL record replayed at open
     "wal.replay.frame",
-    "recovery.on_demand",
 };
 
 /**

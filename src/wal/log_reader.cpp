@@ -12,19 +12,7 @@ LogReader::LogReader(const LogSegment *segment) : segment_(segment) {}
 bool
 LogReader::readRecord(std::string *record)
 {
-    Slice payload;
-    Position pos;
-    if (!readRecordInPlace(&payload, &pos))
-        return false;
-    segment_->device_->chargeRead(8 + payload.size());
-    record->assign(payload.data(), payload.size());
-    return true;
-}
-
-bool
-LogReader::readRecordInPlace(Slice *payload, Position *pos)
-{
-    std::lock_guard<std::mutex> lock(segment_->mu_);
+    std::unique_lock<std::mutex> lock(segment_->mu_);
     while (chunk_index_ < segment_->chunks_.size()) {
         const auto &chunk = segment_->chunks_[chunk_index_];
         if (offset_ + 8 > chunk.used) {
@@ -43,36 +31,13 @@ LogReader::readRecordInPlace(Slice *payload, Position *pos)
             saw_corruption_ = true;
             return false;
         }
-        *payload = Slice(data, len);
-        pos->chunk = chunk_index_;
-        pos->offset = offset_;
+        record->assign(data, len);
         offset_ += 8 + len;
+        lock.unlock();
+        segment_->device_->chargeRead(8 + len);
         return true;
     }
     return false;
-}
-
-bool
-LogReader::readAt(const Position &pos, std::string *record)
-{
-    std::lock_guard<std::mutex> lock(segment_->mu_);
-    if (pos.chunk >= segment_->chunks_.size())
-        return false;
-    const auto &chunk = segment_->chunks_[pos.chunk];
-    if (pos.offset + 8 > chunk.used)
-        return false;
-    uint32_t crc = decodeFixed32(chunk.data + pos.offset);
-    uint32_t len = decodeFixed32(chunk.data + pos.offset + 4);
-    if (pos.offset + 8 + len > chunk.used)
-        return false;
-    const char *payload = chunk.data + pos.offset + 8;
-    if (segment_->frameChecksum(payload, len) != crc) {
-        saw_corruption_ = true;
-        return false;
-    }
-    segment_->device_->chargeRead(8 + len);
-    record->assign(payload, len);
-    return true;
 }
 
 } // namespace mio::wal

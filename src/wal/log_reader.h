@@ -15,17 +15,6 @@ namespace mio::wal {
 class LogReader
 {
   public:
-    /**
-     * Stable address of one frame inside a segment: chunk index plus
-     * byte offset of the frame header. Chunks are append-only and
-     * never move, so a position captured during a scan stays valid
-     * for later re-reads (instant recovery's on-demand frame replay).
-     */
-    struct Position {
-        size_t chunk = 0;
-        size_t offset = 0;
-    };
-
     explicit LogReader(const LogSegment *segment);
 
     /**
@@ -33,23 +22,6 @@ class LogReader
      * corrupt frame (a torn tail terminates replay, as in LevelDB).
      */
     bool readRecord(std::string *record);
-
-    /**
-     * Like readRecord, but returns a slice aliasing the payload in
-     * the segment's (stable, append-only) chunk memory instead of
-     * copying it, and reports the frame's position. Charges no media
-     * read -- the caller charges what it actually consumes (the
-     * RecoveryIndex scan decodes only the digest header). The slice
-     * stays valid for the segment's lifetime.
-     */
-    bool readRecordInPlace(Slice *payload, Position *pos);
-
-    /**
-     * Re-read the frame at @p pos (a position previously returned by
-     * readRecordInPlace on this segment). CRC-verified; charges the
-     * full frame read. Does not move the sequential cursor.
-     */
-    bool readAt(const Position &pos, std::string *record);
 
     /** True if a corrupt (checksum-mismatched) frame was encountered. */
     bool sawCorruption() const { return saw_corruption_; }

@@ -49,12 +49,6 @@ sweepOptions(bool ssd_mode)
     // install-boundary invalidation and the post-recovery governor
     // rebuild (expectRecoveredState sweeps the charge ledger).
     o.read_cache_bytes = 8 << 10;
-    // Every reopen in the sweep recovers through the instant-recovery
-    // path (index build + on-demand replay driven by the model
-    // verification's gets), so the whole crash-consistency battery
-    // exercises it. The dedicated recovery legs below additionally
-    // crash INSIDE that path.
-    o.instant_recovery = true;
     // MIO_CRASH_DETERMINISTIC=1: run maintenance on the scheduler's
     // deterministic inline mode -- no worker threads, jobs execute in
     // strict priority order on this thread inside waitUntil()/drain().
@@ -306,16 +300,14 @@ sweepOnePoint(const char *point, uint64_t nth, bool ssd_mode,
 }
 
 /**
- * Recovery-path points only fire while a reopen has pending frames;
- * the workload-phase sweeps (armed on a freshly opened store) can
- * never reach them, so they get dedicated legs instead.
+ * wal.replay.frame only fires while a reopen replays surviving WAL
+ * records; the workload-phase sweeps (armed on a freshly opened store)
+ * can never reach it, so it gets a dedicated leg instead.
  */
 bool
 recoveryOnlyPoint(const char *p)
 {
-    const std::string s(p);
-    return s == "recovery.index.build" || s == "recovery.on_demand" ||
-           s == "wal.replay.frame";
+    return std::string(p) == "wal.replay.frame";
 }
 
 /** Canonical points that fire in the PM (in-memory repository) mode. */
@@ -345,16 +337,17 @@ ssdModePoints()
 }
 
 /**
- * Crash INSIDE instant recovery: run a workload, power-fail with WAL
- * segments still pending, then reopen with a recovery-path point
- * armed. The crash lands in the recovery-index scan (constructor
- * throws), or in on-demand/background frame replay (the verification
- * gets drive it). The doubly-crashed image must still recover to the
- * acked model on a third open -- duplicate frame replays dedup by
- * sequence, un-replayed segments stay durable.
+ * Crash INSIDE recovery: run a workload, power-fail with WAL segments
+ * still holding unflushed records, then reopen with wal.replay.frame
+ * armed at its @p nth hit. The crash lands mid-replay (the constructor
+ * throws after stopping the jobs it started); when the WAL holds fewer
+ * records the reopened store power-fails right after open instead.
+ * Either way the doubly-crashed image must recover to the acked model
+ * on a third open: no old segment is removed before the replay ends,
+ * and re-applied records dedup by sequence.
  */
 void
-sweepRecoveryPoint(const char *point, uint64_t nth, bool ssd_mode)
+sweepReplayCrash(uint64_t nth, bool ssd_mode)
 {
     auto &fp = sim::FailpointRegistry::instance();
     fp.disarmAll();
@@ -373,70 +366,41 @@ sweepRecoveryPoint(const char *point, uint64_t nth, bool ssd_mode)
         MioDB db(opts, &nvm, ssd_mode ? &ssd : nullptr, &registry);
         state = db.nvmState();
         run = runWorkload(&db, workload);
-        ASSERT_EQ(run.inflight, nullptr)
-            << point << ": clean phase crashed";
+        ASSERT_EQ(run.inflight, nullptr) << "clean phase crashed";
         db.simulateCrash();
     }
     nvm.discardUnpersisted();
 
-    // Deterministic scheduling on the reopen: background replay only
-    // assist-runs inside waitIdle, so the Nth hit of the armed point
-    // is a pure function of the verification gets below.
-    MioOptions ropts = opts;
-    ropts.deterministic_background = true;
-    fp.armCrash(point, nth);
-    bool point_fired = false;
-    {
-        std::unique_ptr<MioDB> db2;
-        try {
-            db2 = std::make_unique<MioDB>(ropts, &nvm,
-                                          ssd_mode ? &ssd : nullptr,
-                                          &registry, state);
-        } catch (const sim::SimCrash &) {
-            // recovery.index.build fired during the directory scan.
-        }
-        if (db2 != nullptr) {
-            std::string v;
-            for (const auto &key : keys) {
-                db2->get(Slice(key), &v);
-                if (fp.fired(point))
-                    break;
-            }
-            if (!fp.fired(point))
-                db2->waitIdle();  // background replay hits
-            // Capture before disarmAll: it clears the fire record.
-            point_fired = fp.fired(point);
-            fp.disarmAll();
-            db2->simulateCrash();
-        } else {
-            point_fired = fp.fired(point);
-        }
+    fp.armCrash("wal.replay.frame", nth);
+    bool threw = false;
+    try {
+        MioDB db2(opts, &nvm, ssd_mode ? &ssd : nullptr, &registry,
+                  state);
+        db2.simulateCrash();
+    } catch (const sim::SimCrash &crash) {
+        threw = true;
+        EXPECT_EQ(crash.point(), "wal.replay.frame");
     }
-    if (nth == 1)
-        ASSERT_TRUE(point_fired) << point << " never fired";
     fp.disarmAll();
+    if (nth == 1) {
+        ASSERT_TRUE(threw) << "wal.replay.frame never fired";
+    }
     nvm.discardUnpersisted();
 
     MioDB db3(opts, &nvm, ssd_mode ? &ssd : nullptr, &registry, state);
     expectRecoveredState(&db3, run, keys,
-                         std::string("recovery ") + point + "@" +
-                             std::to_string(nth));
+                         "replay crash @" + std::to_string(nth));
 }
 
 TEST(CrashSweepTest, RecoveryPathSweep)
 {
-    const char *points[] = {"recovery.index.build",
-                            "recovery.on_demand", "wal.replay.frame"};
     for (bool ssd_mode : {false, true}) {
         for (uint64_t nth : {1u, 4u, 40u}) {
-            for (const char *point : points) {
-                SCOPED_TRACE(std::string(point) + "@" +
-                             std::to_string(nth) +
-                             (ssd_mode ? " ssd" : " pm"));
-                sweepRecoveryPoint(point, nth, ssd_mode);
-                if (::testing::Test::HasFatalFailure())
-                    return;
-            }
+            SCOPED_TRACE("wal.replay.frame@" + std::to_string(nth) +
+                         (ssd_mode ? " ssd" : " pm"));
+            sweepReplayCrash(nth, ssd_mode);
+            if (::testing::Test::HasFatalFailure())
+                return;
         }
     }
 }
@@ -506,9 +470,8 @@ TEST(CrashSweepTest, TrackingDryRunCoversCanonicalList)
             seen.insert(p);
         fp.disarmAll();
     }
-    // The recovery.* points only fire on a reopen with pending WAL
-    // frames: crash mid-workload, reopen with instant recovery, and
-    // drive on-demand replay with gets before draining the rest.
+    // wal.replay.frame only fires on a reopen with surviving WAL
+    // records: crash mid-workload, then reopen.
     {
         fp.disarmAll();
         fp.setTracking(true);
@@ -524,12 +487,7 @@ TEST(CrashSweepTest, TrackingDryRunCoversCanonicalList)
             db.simulateCrash();
         }
         nvm.discardUnpersisted();
-        MioOptions ropts = sweepOptions(false);
-        ropts.deterministic_background = true;
-        MioDB db2(ropts, &nvm, nullptr, &registry, state);
-        std::string v;
-        for (const auto &key : touchedKeys(workload))
-            db2.get(Slice(key), &v);
+        MioDB db2(sweepOptions(false), &nvm, nullptr, &registry, state);
         db2.waitIdle();
         for (const auto &p : fp.seenPoints())
             seen.insert(p);

@@ -60,6 +60,33 @@ TEST(MemoryGovernorTest, ChargeReleaseAndDriftWitness)
     EXPECT_TRUE(g.chargesConsistent());
 }
 
+TEST(MemoryGovernorTest, DriftWitnessHoldsUnderConcurrentChurn)
+{
+    // A balanced charge/release churn never drifts, so the witness
+    // must never report drift while it runs -- including when a read
+    // lands between a release's two steps (sub already dropped, total
+    // not yet), where total does not move during the whole read.
+    MemoryGovernor::Config c;
+    MemoryGovernor g(c);
+    g.charge(SubBudget::kNvmBuffer, 1 << 20);
+    std::atomic<bool> stop{false};
+    std::thread churn([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            g.charge(SubBudget::kVlog, 4096);
+            g.release(SubBudget::kVlog, 4096);
+        }
+    });
+    int false_drift = 0;
+    for (int i = 0; i < 200000; i++) {
+        if (!g.chargesConsistent())
+            false_drift++;
+    }
+    stop.store(true);
+    churn.join();
+    EXPECT_EQ(false_drift, 0);
+    EXPECT_TRUE(g.chargesConsistent());
+}
+
 TEST(MemoryGovernorTest, MemtableChargersSplitTheLimit)
 {
     MemoryGovernor::Config c;

@@ -6,7 +6,6 @@
 #include "sstable/block_builder.h"
 #include "sstable/block_reader.h"
 #include "sstable/table_builder.h"
-#include "sstable/table_cache.h"
 #include "sstable/table_reader.h"
 #include "util/random.h"
 
@@ -229,35 +228,6 @@ TEST(TableTest, CorruptFooterRejected)
     medium.writeBlob("bad2", Slice(contents));
     EXPECT_TRUE(
         TableReader::open(&medium, "bad2", &table).isCorruption());
-}
-
-TEST(TableCacheTest, CachesAndEvicts)
-{
-    sim::NvmDevice nvm;
-    sim::NvmMedium medium(&nvm);
-    for (int f = 0; f < 4; f++) {
-        TableBuilder builder;
-        builder.add(Slice(ikey(makeKey(f), 1)), Slice("v"));
-        medium.writeBlob("f" + std::to_string(f),
-                         Slice(builder.finish()));
-    }
-    TableCache cache(&medium, /*capacity=*/2);
-    std::shared_ptr<TableReader> t;
-    ASSERT_TRUE(cache.lookup("f0", &t).isOk());
-    ASSERT_TRUE(cache.lookup("f1", &t).isOk());
-    ASSERT_TRUE(cache.lookup("f0", &t).isOk());  // refresh f0
-    ASSERT_TRUE(cache.lookup("f2", &t).isOk());  // evicts f1
-    EXPECT_EQ(cache.size(), 2u);
-
-    // Same reader returned for cached entries.
-    std::shared_ptr<TableReader> a, b;
-    cache.lookup("f2", &a);
-    cache.lookup("f2", &b);
-    EXPECT_EQ(a.get(), b.get());
-
-    cache.evict("f2");
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_FALSE(cache.lookup("missing", &t).isOk());
 }
 
 } // namespace

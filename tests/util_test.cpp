@@ -1,68 +1,13 @@
-/** @file Unit tests for ThreadPool, Flags, and clock utilities. */
+/** @file Unit tests for Flags and clock utilities. */
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "util/clock.h"
 #include "util/flags.h"
-#include "util/thread_pool.h"
 
 namespace mio {
 namespace {
-
-TEST(ThreadPoolTest, ExecutesAllTasks)
-{
-    ThreadPool pool(3);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; i++)
-        pool.submit([&counter] { counter.fetch_add(1); });
-    pool.drain();
-    EXPECT_EQ(counter.load(), 100);
-    EXPECT_EQ(pool.pendingTasks(), 0u);
-}
-
-TEST(ThreadPoolTest, DrainWaitsForInFlightWork)
-{
-    ThreadPool pool(2);
-    std::atomic<bool> finished{false};
-    pool.submit([&finished] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        finished.store(true);
-    });
-    pool.drain();
-    EXPECT_TRUE(finished.load());
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(1);
-        for (int i = 0; i < 20; i++)
-            pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPoolTest, TasksRunConcurrently)
-{
-    ThreadPool pool(4);
-    std::atomic<int> in_flight{0};
-    std::atomic<int> max_in_flight{0};
-    for (int i = 0; i < 16; i++) {
-        pool.submit([&] {
-            int now = in_flight.fetch_add(1) + 1;
-            int prev = max_in_flight.load();
-            while (now > prev &&
-                   !max_in_flight.compare_exchange_weak(prev, now)) {
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            in_flight.fetch_sub(1);
-        });
-    }
-    pool.drain();
-    EXPECT_GE(max_in_flight.load(), 2);
-}
 
 TEST(FlagsTest, ParsesEqualsAndSpaceForms)
 {

@@ -15,6 +15,7 @@
 #include "kv/store_stats.h"
 #include "miodb/miodb.h"
 #include "miodb/value_log.h"
+#include "sim/failpoint.h"
 #include "util/random.h"
 
 namespace mio::miodb {
@@ -51,6 +52,43 @@ TEST(ValueLogTest, AppendReadRoundTrip)
     EXPECT_EQ(v, std::string(5000, 'x'));
     // An oversized segment was opened for the 5000-byte payload.
     EXPECT_GE(stats.vlog_segments_created.load(), 2u);
+}
+
+TEST(ValueLogTest, TornAppendDoesNotHideLaterFrames)
+{
+    // Frame A's append power-fails between its write and its persist;
+    // frame B, appended after it, persists and is acknowledged. After
+    // the crash, recovery must still resolve B (and the frame before
+    // A): a torn frame may only ever be the segment's tail.
+    sim::NvmDevice nvm;
+    nvm.setCrashShadow(true);
+    StatsCounters stats;
+    ValueLog log(&nvm, &stats, 4 << 10);
+    auto &fp = sim::FailpointRegistry::instance();
+    fp.disarmAll();
+
+    ValuePointer before;
+    ASSERT_TRUE(log.append(Slice("k0"), Slice("before"), &before).isOk());
+    fp.armCrash("vlog.append", 1);
+    ValuePointer torn;
+    EXPECT_THROW(log.append(Slice("ka"), Slice("torn-frame"), &torn),
+                 sim::SimCrash);
+    fp.disarmAll();
+    ValuePointer after;
+    ASSERT_TRUE(log.append(Slice("kb"), Slice("after"), &after).isOk());
+
+    nvm.discardUnpersisted();
+    log.recoverAfterCrash();
+    std::string v;
+    ASSERT_TRUE(log.read(before, &v).isOk());
+    EXPECT_EQ(v, "before");
+    ASSERT_TRUE(log.read(after, &v).isOk());
+    EXPECT_EQ(v, "after");
+    std::vector<ValueLog::Record> records;
+    ASSERT_TRUE(log.collectRecords(after.segment_id, &records));
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[1].key, "kb");
+    EXPECT_EQ(log.scrub(), 0u);
 }
 
 TEST(ValueLogTest, ReadRejectsCorruptPointer)
@@ -290,6 +328,34 @@ TEST(ValueLogTest, PinnedSnapshotBlocksReclaimUntilRelease)
 }
 
 /** Separated values survive a clean close/reopen and a vlog rescan. */
+TEST(ValueLogTest, CloseNeverRacesAGcRelocation)
+{
+    // A merge's drop hook may schedule a GC job at any moment. If it
+    // passes the "GC enabled" check just before a closing store turns
+    // GC off and submits just after the close's GC-idle wait, the job
+    // relocates through the commit path after the close has handed
+    // the active WAL segment off -- a null segment append. Many short
+    // GC-heavy lives on the threaded scheduler hit that window.
+    MioOptions o;
+    o.memtable_size = 8 << 10;
+    o.elastic_levels = 2;
+    o.max_immutable_memtables = 4;
+    o.value_separation_threshold = 16;
+    o.vlog_segment_bytes = 4 << 10;
+    o.vlog_gc_trigger_ratio = 0.95;
+    for (int life = 0; life < 300; life++) {
+        sim::NvmDevice nvm;
+        MioDB db(o, &nvm);
+        Random rnd(life + 1);
+        for (int i = 0; i < 300; i++) {
+            std::string v = "value-" + std::to_string(i) +
+                            "-xxxxxxxxxxxxxxxxxxxxxxxx";
+            ASSERT_TRUE(
+                db.put(Slice(makeKey(rnd.uniform(60))), Slice(v)).isOk());
+        }
+    }
+}
+
 TEST(ValueLogTest, SeparatedValuesSurviveReopen)
 {
     sim::NvmDevice nvm;
