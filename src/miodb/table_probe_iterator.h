@@ -26,6 +26,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "lsm/iterator.h"
 #include "miodb/pmtable.h"
@@ -161,8 +162,17 @@ class TableProbeIterator : public lsm::KVIterator
                     best = probeChain(op->oldt.get(), k, seq,
                                       inclusive);
                 } else {
+                    // The newtable walk must not overlap a relink
+                    // (see MergeOp::relink_seq).
+                    const uint64_t relink = op->relink_seq.load();
+                    if (relink % 2 != 0) {
+                        std::this_thread::yield();
+                        continue;
+                    }
                     best = listLowerBound(t->list(), k, seq,
                                           inclusive);
+                    if (op->relink_seq.load() != relink)
+                        continue;
                     const Node *m =
                         op->mark.load(std::memory_order_acquire);
                     if (m != nullptr && qualifies(m, k, seq, inclusive) &&

@@ -1,6 +1,7 @@
 #include "miodb/zero_copy_merge.h"
 
 #include <cassert>
+#include <thread>
 #include <vector>
 
 #include "sim/failpoint.h"
@@ -96,7 +97,9 @@ mergeLoop(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
             note_dropped(n);
             return;
         }
+        op->relink_seq.fetch_add(1);
         dst.linkNode(n, &splice);
+        op->relink_seq.fetch_add(1);
         pointer_stores += n->height;
         // The same-key run now starts at succ0 only when the descent
         // stepped over newer kept versions; otherwise n linked at the
@@ -225,9 +228,21 @@ mergeAwareGet(const MergeOp *op, const Slice &key, std::string *value,
         *type = probe_type;
         value->swap(probe_value);
     };
-    if (op->newt->list().get(key, &probe_value, &probe_type, &probe_seq,
-                             verify, corrupt)) {
-        keep();
+    // The newtable descent must not overlap a relink (see relink_seq).
+    for (;;) {
+        const uint64_t relink = op->relink_seq.load();
+        if (relink % 2 != 0) {
+            std::this_thread::yield();
+            continue;
+        }
+        found = false;
+        best_seq = 0;
+        if (op->newt->list().get(key, &probe_value, &probe_type,
+                                 &probe_seq, verify, corrupt)) {
+            keep();
+        }
+        if (op->relink_seq.load() == relink)
+            break;
     }
     if (corrupt != nullptr && *corrupt)
         return false;

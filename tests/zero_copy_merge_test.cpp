@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "lsm/memtable.h"
 #include "miodb/one_piece_flush.h"
@@ -197,6 +199,56 @@ TEST(ZeroCopyMergeTest, MergeAwareGetDuringPausedMerge)
             EXPECT_EQ(v, expect);
         }
     }
+}
+
+TEST(ZeroCopyMergeTest, ConcurrentReadersNeverSeeAnOlderVersion)
+{
+    // Every key has an old version in the oldtable and a new one in
+    // the newtable. Moving a node relinks it into the oldtable, which
+    // rewrites its forward pointers; a reader whose newtable descent
+    // stood on it must not continue in the oldtable and answer "old"
+    // while the key's new version has not moved yet.
+    constexpr int kKeys = 2000;
+    int stale = 0;
+    for (int round = 0; round < 100 && stale == 0; round++) {
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        std::map<std::string, std::pair<std::string, uint64_t>> older;
+        std::map<std::string, std::pair<std::string, uint64_t>> newer;
+        for (int i = 0; i < kKeys; i++) {
+            older[makeKey(i)] = {"old", 1 + i};
+            newer[makeKey(i)] = {"new", 1 + kKeys + i};
+        }
+        auto op = std::make_shared<MergeOp>();
+        op->oldt = makeTable(&nvm, &stats, older, 1);
+        op->newt = makeTable(&nvm, &stats, newer, 2);
+        std::atomic<bool> merged{false};
+        std::atomic<int> bad{0};
+        std::vector<std::thread> readers;
+        // More readers than cores: a reader preempted mid-descent is
+        // what widens the window the relink must not slip into.
+        for (int r = 0; r < 8; r++) {
+            readers.emplace_back([&, r] {
+                Random rnd(round * 11 + r + 1);
+                std::string v;
+                EntryType t;
+                while (!merged.load()) {
+                    std::string key = makeKey(rnd.uniform(kKeys));
+                    if (!mergeAwareGet(op.get(), Slice(key), &v, &t, nullptr,
+                                       false, nullptr) ||
+                        v != "new") {
+                        bad.fetch_add(1);
+                    }
+                }
+            });
+        }
+        ASSERT_TRUE(zeroCopyMerge(op.get(), &nvm, &stats));
+        merged.store(true);
+        for (auto &t : readers)
+            t.join();
+        stale += bad.load();
+    }
+    EXPECT_EQ(stale, 0);
 }
 
 TEST(ZeroCopyMergeTest, ResumeAfterEveryPausePoint)
