@@ -1,6 +1,5 @@
 #include "bloom/bloom_filter.h"
 
-#include <cassert>
 #include <cstring>
 
 #include "util/coding.h"
@@ -78,14 +77,14 @@ BloomFilter::mayContainHashes(uint64_t h1, uint64_t h2) const
     return true;
 }
 
-void
+bool
 BloomFilter::merge(const BloomFilter &other)
 {
-    assert(num_bits_ == other.num_bits_ &&
-           num_probes_ == other.num_probes_ &&
-           "mergeable filters must share geometry");
+    if (!sameGeometry(other))
+        return false;
     for (size_t i = 0; i < words_.size(); i++)
         words_[i] |= other.words_[i];
+    return true;
 }
 
 bool

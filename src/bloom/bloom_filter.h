@@ -2,10 +2,12 @@
  * @file
  * Mergeable bloom filter assigned to each PMTable (paper Sec. 4.6).
  *
- * All filters in one MioDB instance share the same bit width, so two
- * tables' filters can be merged during compaction with a plain bitwise
- * OR. The bit budget is provisioned as bits_per_key times the expected
- * key capacity of one MemTable; after h zero-copy merges a table holds
+ * Filters of tables flushed from same-size MemTables share one bit
+ * width, so two tables' filters can be merged during compaction with a
+ * plain bitwise OR (a merge across MemTable sizes rebuilds the filter
+ * from the keys instead; see miodb::mergeTableBlooms). The bit budget
+ * is provisioned as bits_per_key times the expected key capacity of
+ * one MemTable; after h zero-copy merges a table holds
  * up to 2^h memtables' keys, so the false-positive rate grows with
  * depth -- exactly the effect behind the level-count knee in Fig. 9.
  */
@@ -55,10 +57,11 @@ class BloomFilter
     static bool decodeFrom(const Slice &data, BloomFilter *out);
 
     /**
-     * OR-merge @p other into this filter. Both must have identical
-     * geometry (bit count and probe count).
+     * OR-merge @p other into this filter.
+     * @return false, leaving this filter unchanged, when the two
+     *         differ in geometry (bit count or probe count).
      */
-    void merge(const BloomFilter &other);
+    bool merge(const BloomFilter &other);
 
     /**
      * True when every bit set in @p other is also set here (and the

@@ -195,10 +195,14 @@ BufferLevel::finishMerge(const std::shared_ptr<MergeOp> &op)
     std::lock_guard<std::mutex> lock(mu_);
     if (merge_ != op)
         return;
-    // Only the result sheds its registration; the emptied newtable
-    // keeps the (done) op as its permanent absorbed-into pointer so a
-    // pinned iterator can still reach its entries in the result.
-    op->oldt->clearActiveMerge();
+    // Both participants shed the op (see PMTable::retireMerge). A
+    // zero-copy merge emptied the newtable into the oldtable, so a
+    // pinned iterator on it follows a link there; a copying merge left
+    // both inputs whole, and iterators keep reading their own lists.
+    op->oldt->retireMerge();
+    op->newt->retireMerge(op->done.load(std::memory_order_acquire)
+                              ? op->oldt
+                              : nullptr);
     merge_ = nullptr;
     republishLocked(nullptr);
 }

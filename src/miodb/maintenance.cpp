@@ -269,6 +269,10 @@ MioDB::compactionJob(int level)
         }
         break;  // kNoWork
     }
+    // The token release is not this job's last touch of the store, so
+    // a closing store, which sets shutting_down_ under this lock and
+    // takes it again once the tokens are free, waits the rest out.
+    std::lock_guard<std::mutex> exit_lock(compact_exit_mu_);
     compact_scheduled_[level].store(false);
     sched_->notifyEvent();
     // Close the submit/observe race: a push that raced the final
@@ -587,7 +591,7 @@ MioDB::vlogGcJob()
                 }
                 MIO_FAILPOINT("vlog.gc.relocate");
                 std::string payload;
-                Status rs = vlog->read(rec.ptr, &payload);
+                Status rs = vlog->read(Slice(rec.key), rec.ptr, &payload);
                 if (!rs.isOk()) {
                     aborted = true;  // damaged or racing: keep segment
                     break;
@@ -707,8 +711,10 @@ MioDB::abandonOpen()
                 return true;
             },
             wo);
-        // A flush job's last touch is its token release under imm_mu_.
-        std::lock_guard<std::mutex> il(imm_mu_);
+        // A flush job's last touch is its token release under imm_mu_;
+        // a compaction job's ends under compact_exit_mu_.
+        { std::lock_guard<std::mutex> il(imm_mu_); }
+        std::lock_guard<std::mutex> cl(compact_exit_mu_);
     }
     detachFromNvmState();
 }
@@ -942,6 +948,13 @@ MioDB::sweepGraveyard()
     std::vector<std::shared_ptr<const void>> doomed;
     {
         std::lock_guard<std::mutex> lock(grave_mu_);
+        // A reader may have entered since the last one left, and a
+        // retirer that counted it parked here what that reader can
+        // still reach. That retirer's count load happens-before this
+        // one (grave_mu_), so this load sees the reader too: sweep
+        // only while none is in flight, else it sweeps on its way out.
+        if (active_readers_.load(std::memory_order_acquire) != 0)
+            return;
         doomed.swap(graveyard_);
     }
     // Chains and manifests free here, outside the lock.

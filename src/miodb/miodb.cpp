@@ -278,7 +278,12 @@ MioDB::~MioDB()
                    flush_blocked_.load() || sched_->frozen();
         });
     }
-    shutting_down_.store(true);
+    {
+        // A compaction job that saw shutting_down_ clear rescheduled
+        // before this, so the token wait below covers its successor.
+        std::lock_guard<std::mutex> cl(compact_exit_mu_);
+        shutting_down_.store(true);
+    }
     sched_->notifyEvent();
     if (scrub_job_id_ != 0)
         sched_->cancelPeriodic(scrub_job_id_);
@@ -323,9 +328,11 @@ MioDB::~MioDB()
                        idle(sched::JobClass::kVlogGc);
             },
             wo);
-        // A flush job releases its token while holding imm_mu_; taking
-        // the lock once waits out that job's last touch of this store.
-        std::lock_guard<std::mutex> il(imm_mu_);
+        // A flush job releases its token while holding imm_mu_, and a
+        // compaction job ends under compact_exit_mu_; taking each lock
+        // once waits out that job's last touch of this store.
+        { std::lock_guard<std::mutex> il(imm_mu_); }
+        std::lock_guard<std::mutex> cl(compact_exit_mu_);
     }
     // Shared pool after a crash: frozen, nothing queued (freeze
     // dropped it), and the facade joins the workers before shards are
@@ -1141,7 +1148,7 @@ MioDB::get(const Slice &key, std::string *value)
                 1, std::memory_order_relaxed);
             return Status::corruption(key);
         }
-        Status vs = state_->vlog->read(vp, value);
+        Status vs = state_->vlog->read(key, vp, value);
         if (vs.isOk()) {
             // Cache the MATERIALIZED value: a hit skips the whole
             // descent and the pointer dereference.
@@ -1355,7 +1362,7 @@ MioDB::scanAt(const Snapshot *snapshot, const Slice &start_key,
             Status vs =
                 (state_->vlog != nullptr &&
                  ValuePointer::decode(Slice(val), &vp))
-                    ? state_->vlog->read(vp, &val)
+                    ? state_->vlog->read(iter.key(), vp, &val)
                     : Status::corruption(iter.key());
             if (!vs.isOk()) {
                 stats_.corruptions_detected.fetch_add(

@@ -673,6 +673,12 @@ class MioDB : public KVStore
     /** Delay between open and the fence rebuild (see the ctor). */
     static constexpr uint64_t kFenceRebuildDelayMs = 10;
     std::unique_ptr<std::atomic<bool>[]> compact_scheduled_;
+    /**
+     * Held by a compaction job from its token release to its last touch
+     * of the store, and by a closing store while it sets shutting_down_
+     * and once more after the tokens are free (see compactionJob).
+     */
+    std::mutex compact_exit_mu_;
     std::atomic<bool> vlog_gc_scheduled_{false};
     /**
      * GC jobs write through the normal commit path, so none may be

@@ -71,9 +71,8 @@ PMTable::absorb(PMTable &other)
     // Copy-on-write: references captured by level manifests keep
     // probing the pre-merge filter, which is still sound for the keys
     // that table held at capture time.
-    auto merged = std::make_shared<BloomFilter>(*bloom_);
-    merged->merge(*other.bloom_);
-    bloom_ = std::move(merged);
+    bloom_ = std::make_shared<const BloomFilter>(
+        mergeTableBlooms(*bloom_, *other.bloom_, list_));
     if (Slice(other.min_key_).compare(Slice(min_key_)) < 0)
         min_key_ = other.min_key_;
     if (Slice(other.max_key_).compare(Slice(max_key_)) > 0)
@@ -81,6 +80,21 @@ PMTable::absorb(PMTable &other)
     merge_depth_ =
         (merge_depth_ > other.merge_depth_ ? merge_depth_
                                            : other.merge_depth_) + 1;
+}
+
+BloomFilter
+mergeTableBlooms(const BloomFilter &a, const BloomFilter &b,
+                 const SkipList &merged)
+{
+    BloomFilter out = a;
+    if (out.merge(b))
+        return out;
+    const BloomFilter &larger = a.numBits() >= b.numBits() ? a : b;
+    out = BloomFilter(larger.numBits(), larger.numProbes());
+    SkipList::Iterator it(&merged);
+    for (it.seekToFirst(); it.valid(); it.next())
+        out.add(it.key());
+    return out;
 }
 
 } // namespace mio::miodb

@@ -134,18 +134,25 @@ class PMTable
         return quarantined_.load(std::memory_order_acquire);
     }
 
-    // ---- active-merge registration (snapshot iterators) ----------
+    // ---- merge registration (snapshot iterators) -----------------
     //
     // A pinned snapshot iterator anchored on this table must follow
     // nodes a zero-copy merge moves out from under it. beginMerge()
-    // registers the MergeOp on BOTH participants; finishMerge()
-    // clears only the oldtable's slot -- the emptied newtable keeps
-    // the (done) op forever as its "absorbed into" pointer, so an
-    // iterator pinning it can chase its entries into the result.
+    // registers the MergeOp on BOTH participants; finishMerge() clears
+    // both and gives the emptied newtable a one-way absorbed-into link
+    // to the result instead, so an iterator pinning it can chase its
+    // entries there. No table may keep a done op: the op holds both
+    // tables, so that would be a cycle. A link only ever points at the
+    // older table a merge kept, so links cannot form one.
 
     void setActiveMerge(std::shared_ptr<MergeOp> op);
-    void clearActiveMerge();
+    /**
+     * Drop the merge registration. @p absorbed_into, when set, is the
+     * table that now holds every entry this one had.
+     */
+    void retireMerge(std::shared_ptr<PMTable> absorbed_into = nullptr);
     std::shared_ptr<MergeOp> activeMerge() const;
+    std::shared_ptr<PMTable> absorbedInto() const;
 
     /**
      * Bumped on every registration change (never on node movement).
@@ -172,11 +179,23 @@ class PMTable
     std::string max_key_;
     int merge_depth_ = 0;
     std::atomic<bool> quarantined_{false};
-    /** Guards active_merge_ (see setActiveMerge). */
+    /** Guards active_merge_ and absorbed_into_ (see setActiveMerge). */
     mutable std::mutex merge_mu_;
     std::shared_ptr<MergeOp> active_merge_;
+    std::shared_ptr<PMTable> absorbed_into_;
     std::atomic<uint64_t> merge_epoch_{0};
 };
+
+/**
+ * The filter of a table merged from two tables with filters @p a and
+ * @p b, whose entries now all live in @p merged: the OR of the two when
+ * they share a geometry. Filters sized from different MemTable sizes
+ * (a reopen with another memtable_size, or the adaptive tuner) cannot
+ * be OR-ed, so then the filter is rebuilt from @p merged's keys at the
+ * larger of the two geometries.
+ */
+BloomFilter mergeTableBlooms(const BloomFilter &a, const BloomFilter &b,
+                             const SkipList &merged);
 
 /**
  * Shared state of an in-flight zero-copy merge. While active, readers
@@ -227,10 +246,11 @@ PMTable::setActiveMerge(std::shared_ptr<MergeOp> op)
 }
 
 inline void
-PMTable::clearActiveMerge()
+PMTable::retireMerge(std::shared_ptr<PMTable> absorbed_into)
 {
     std::lock_guard<std::mutex> lock(merge_mu_);
     active_merge_.reset();
+    absorbed_into_ = std::move(absorbed_into);
     merge_epoch_.fetch_add(1, std::memory_order_seq_cst);
 }
 
@@ -239,6 +259,13 @@ PMTable::activeMerge() const
 {
     std::lock_guard<std::mutex> lock(merge_mu_);
     return active_merge_;
+}
+
+inline std::shared_ptr<PMTable>
+PMTable::absorbedInto() const
+{
+    std::lock_guard<std::mutex> lock(merge_mu_);
+    return absorbed_into_;
 }
 
 } // namespace mio::miodb

@@ -14,8 +14,8 @@
  * successor probe that runs the paper's three-step read protocol
  * (newtable, insertion mark, oldtable) through the table's registered
  * MergeOp chain (PMTable::activeMerge). A table fully absorbed into a
- * merge result keeps its done op as a permanent absorbed-into pointer,
- * so a cursor pinning it chases the entries into the result.
+ * merge result keeps a link to it (PMTable::absorbedInto), so a
+ * cursor pinning it chases the entries into the result.
  *
  * When no merge has ever touched the anchor, a double epoch check
  * (PMTable::mergeEpoch) keeps the advance a single next-pointer step,
@@ -154,36 +154,33 @@ class TableProbeIterator : public lsm::KVIterator
     {
         for (;;) {
             uint64_t e1 = t->mergeEpoch();
+            std::shared_ptr<PMTable> into = t->absorbedInto();
             std::shared_ptr<MergeOp> op = t->activeMerge();
             const Node *best;
-            if (op != nullptr && op->newt.get() == t) {
-                if (op->done.load(std::memory_order_acquire)) {
-                    // Fully absorbed: everything lives in the result.
-                    best = probeChain(op->oldt.get(), k, seq,
-                                      inclusive);
-                } else {
-                    // The newtable walk must not overlap a relink
-                    // (see MergeOp::relink_seq).
-                    const uint64_t relink = op->relink_seq.load();
-                    if (relink % 2 != 0) {
-                        std::this_thread::yield();
-                        continue;
-                    }
-                    best = listLowerBound(t->list(), k, seq,
-                                          inclusive);
-                    if (op->relink_seq.load() != relink)
-                        continue;
-                    const Node *m =
-                        op->mark.load(std::memory_order_acquire);
-                    if (m != nullptr && qualifies(m, k, seq, inclusive) &&
-                        before(m, best)) {
-                        best = m;
-                    }
-                    const Node *o = probeChain(op->oldt.get(), k, seq,
-                                               inclusive);
-                    if (o != nullptr && before(o, best))
-                        best = o;
+            if (into != nullptr) {
+                // Fully absorbed: everything lives in the result.
+                best = probeChain(into.get(), k, seq, inclusive);
+            } else if (op != nullptr && op->newt.get() == t) {
+                // The newtable walk must not overlap a relink (see
+                // MergeOp::relink_seq). Once the op is done the
+                // newtable is empty and the oldtable alone answers.
+                const uint64_t relink = op->relink_seq.load();
+                if (relink % 2 != 0) {
+                    std::this_thread::yield();
+                    continue;
                 }
+                best = listLowerBound(t->list(), k, seq, inclusive);
+                if (op->relink_seq.load() != relink)
+                    continue;
+                const Node *m = op->mark.load(std::memory_order_acquire);
+                if (m != nullptr && qualifies(m, k, seq, inclusive) &&
+                    before(m, best)) {
+                    best = m;
+                }
+                const Node *o =
+                    probeChain(op->oldt.get(), k, seq, inclusive);
+                if (o != nullptr && before(o, best))
+                    best = o;
             } else {
                 // No merge, or this table is the merge DESTINATION:
                 // its own list is complete for its share (in-transit
@@ -209,13 +206,15 @@ class TableProbeIterator : public lsm::KVIterator
     }
 
     /** Re-arm the lock-free fast path: a plain step is legal while no
-     *  merge is registered and the epoch stays put. */
+     *  merge is registered, the table was never absorbed, and the
+     *  epoch stays put. */
     void
     refreshCache()
     {
         uint64_t ea = table_->mergeEpoch();
-        cached_plain_ = (table_->activeMerge() == nullptr) &&
-                        (table_->mergeEpoch() == ea);
+        cached_plain_ = table_->activeMerge() == nullptr &&
+                        table_->absorbedInto() == nullptr &&
+                        table_->mergeEpoch() == ea;
         cached_epoch_ = ea;
     }
 

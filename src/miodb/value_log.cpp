@@ -9,6 +9,64 @@
 
 namespace mio::miodb {
 
+namespace {
+
+/** Frame header: [u32 crc][u32 key_len][u32 value_len]. */
+constexpr size_t kFrameHeader = 12;
+
+/**
+ * A frame's CRC: its lengths and key, seeded with the value's
+ * checksum -- the checksum its ValuePointer carries -- so one pass
+ * over the value serves both.
+ */
+uint32_t
+frameCrc(const char *frame, size_t key_len, uint32_t value_sum)
+{
+    return hash32(frame + 4, 8 + key_len, value_sum);
+}
+
+/** One frame that passed a walk's verification. */
+struct Frame {
+    size_t offset = 0;  //!< frame start inside the segment
+    uint32_t key_len = 0;
+    uint32_t value_len = 0;
+    uint32_t value_sum = 0;  //!< recordChecksum of the value
+};
+
+/**
+ * Walk the frames of [base, base + used) in append order, verifying
+ * each one's CRC; @p visit sees every good frame. @return where the
+ * walk stopped: @p used when every frame verified, else the start of
+ * the first frame that is cut short or fails its CRC (frame
+ * boundaries past it are untrustworthy).
+ */
+template <typename Visit>
+size_t
+walkFrames(const char *base, size_t used, Visit &&visit)
+{
+    size_t off = 0;
+    while (off + kFrameHeader <= used) {
+        const char *frame = base + off;
+        Frame f;
+        f.offset = off;
+        f.key_len = decodeFixed32(frame + 4);
+        f.value_len = decodeFixed32(frame + 8);
+        const size_t frame_len =
+            kFrameHeader + static_cast<size_t>(f.key_len) + f.value_len;
+        if (frame_len > used - off)
+            break;
+        f.value_sum =
+            recordChecksum(frame + kFrameHeader + f.key_len, f.value_len);
+        if (decodeFixed32(frame) != frameCrc(frame, f.key_len, f.value_sum))
+            break;
+        visit(f);
+        off += frame_len;
+    }
+    return off;
+}
+
+} // namespace
+
 void
 ValuePointer::encodeTo(char *dst) const
 {
@@ -86,6 +144,7 @@ Status
 ValueLog::append(const Slice &key, const Slice &value, ValuePointer *out)
 {
     const size_t frame_len = kFrameHeader + key.size() + value.size();
+    const uint32_t value_sum = recordChecksum(value.data(), value.size());
     std::string frame(frame_len, '\0');
     encodeFixed32(frame.data() + 4, static_cast<uint32_t>(key.size()));
     encodeFixed32(frame.data() + 8, static_cast<uint32_t>(value.size()));
@@ -93,7 +152,7 @@ ValueLog::append(const Slice &key, const Slice &value, ValuePointer *out)
     memcpy(frame.data() + kFrameHeader + key.size(), value.data(),
            value.size());
     encodeFixed32(frame.data(),
-                  recordChecksum(frame.data() + 4, frame_len - 4));
+                  frameCrc(frame.data(), key.size(), value_sum));
 
     // Appends run one at a time from reservation to persist, so frames
     // become durable in segment order: a frame a crash tears is always
@@ -132,7 +191,7 @@ ValueLog::append(const Slice &key, const Slice &value, ValuePointer *out)
     out->segment_id = seg->id;
     out->offset = off + kFrameHeader + key.size();
     out->length = static_cast<uint32_t>(value.size());
-    out->checksum = recordChecksum(value.data(), value.size());
+    out->checksum = value_sum;
 
     stats_->vlog_appends.fetch_add(1, std::memory_order_relaxed);
     stats_->vlog_appended_bytes.fetch_add(frame_len,
@@ -146,20 +205,33 @@ ValueLog::append(const Slice &key, const Slice &value, ValuePointer *out)
 }
 
 Status
-ValueLog::read(const ValuePointer &ptr, std::string *value) const
+ValueLog::read(const Slice &key, const ValuePointer &ptr,
+               std::string *value) const
 {
     std::shared_ptr<Segment> seg = findSegment(ptr.segment_id);
     if (seg == nullptr)
         return Status::notFound("vlog segment unlinked");
     const size_t used = seg->used.load(std::memory_order_acquire);
-    if (ptr.offset + ptr.length > used)
+    const size_t prefix = kFrameHeader + key.size();
+    if (ptr.offset < prefix || ptr.length > used ||
+        ptr.offset > used - ptr.length)
         return Status::corruption("vlog pointer out of segment bounds");
+    const char *frame = seg->base + ptr.offset - prefix;
     const char *payload = seg->base + ptr.offset;
-    nvm_->chargeRead(ptr.length);
-    if (recordChecksum(payload, ptr.length) != ptr.checksum) {
+    nvm_->chargeRead(prefix + ptr.length);
+    // The value's checksum is the pointer's; the frame CRC seeded with
+    // it also binds the payload to this key and these lengths, so a
+    // damaged header or key, or a pointer into the wrong frame, is
+    // caught here too.
+    const uint32_t value_sum = recordChecksum(payload, ptr.length);
+    if (value_sum != ptr.checksum ||
+        decodeFixed32(frame + 4) != key.size() ||
+        decodeFixed32(frame + 8) != ptr.length ||
+        memcmp(frame + kFrameHeader, key.data(), key.size()) != 0 ||
+        decodeFixed32(frame) != frameCrc(frame, key.size(), value_sum)) {
         stats_->corruptions_detected.fetch_add(1,
                                                std::memory_order_relaxed);
-        return Status::corruption("vlog payload checksum mismatch");
+        return Status::corruption("vlog frame checksum mismatch");
     }
     value->assign(payload, ptr.length);
     stats_->vlog_deref_reads.fetch_add(1, std::memory_order_relaxed);
@@ -233,28 +305,15 @@ ValueLog::collectRecords(uint64_t segment_id,
         return false;
     const size_t used = seg->used.load(std::memory_order_acquire);
     nvm_->chargeRead(used);
-    size_t off = 0;
-    while (off + kFrameHeader <= used) {
-        const char *frame = seg->base + off;
-        uint32_t key_len = decodeFixed32(frame + 4);
-        uint32_t value_len = decodeFixed32(frame + 8);
-        size_t frame_len =
-            kFrameHeader + static_cast<size_t>(key_len) + value_len;
-        if (off + frame_len > used)
-            break;
-        if (decodeFixed32(frame) !=
-            recordChecksum(frame + 4, frame_len - 4))
-            break;
+    walkFrames(seg->base, used, [&](const Frame &f) {
         Record r;
-        r.key.assign(frame + kFrameHeader, key_len);
+        r.key.assign(seg->base + f.offset + kFrameHeader, f.key_len);
         r.ptr.segment_id = segment_id;
-        r.ptr.offset = off + kFrameHeader + key_len;
-        r.ptr.length = value_len;
-        r.ptr.checksum =
-            recordChecksum(frame + kFrameHeader + key_len, value_len);
+        r.ptr.offset = f.offset + kFrameHeader + f.key_len;
+        r.ptr.length = f.value_len;
+        r.ptr.checksum = f.value_sum;
         out->push_back(std::move(r));
-        off += frame_len;
-    }
+    });
     return true;
 }
 
@@ -297,6 +356,13 @@ ValueLog::liveBytes(uint64_t segment_id) const
     return seg == nullptr
                ? 0
                : seg->live_bytes.load(std::memory_order_relaxed);
+}
+
+char *
+ValueLog::segmentBase(uint64_t segment_id) const
+{
+    std::shared_ptr<Segment> seg = findSegment(segment_id);
+    return seg == nullptr ? nullptr : seg->base;
 }
 
 void
@@ -353,24 +419,11 @@ ValueLog::capacityBytes() const
 void
 ValueLog::rescanSegment(Segment *seg) const
 {
-    const size_t used = seg->used.load(std::memory_order_relaxed);
-    size_t off = 0;
     uint64_t payload = 0;
-    while (off + kFrameHeader <= used) {
-        const char *frame = seg->base + off;
-        uint32_t key_len = decodeFixed32(frame + 4);
-        uint32_t value_len = decodeFixed32(frame + 8);
-        size_t frame_len =
-            kFrameHeader + static_cast<size_t>(key_len) + value_len;
-        if (off + frame_len > used)
-            break;
-        if (decodeFixed32(frame) !=
-            recordChecksum(frame + 4, frame_len - 4))
-            break;
-        payload += value_len;
-        off += frame_len;
-    }
-    seg->used.store(off, std::memory_order_relaxed);
+    const size_t end =
+        walkFrames(seg->base, seg->used.load(std::memory_order_relaxed),
+                   [&](const Frame &f) { payload += f.value_len; });
+    seg->used.store(end, std::memory_order_relaxed);
     seg->payload_bytes.store(payload, std::memory_order_relaxed);
     // Conservative: everything that survived the rescan is presumed
     // live; GC probes against the index establish the truth later.
@@ -412,24 +465,10 @@ ValueLog::scrub(uint64_t *bytes_verified) const
         // landing meanwhile write past it, outside this scan.
         const size_t used = seg->used.load(std::memory_order_acquire);
         nvm_->chargeRead(used);
-        size_t off = 0;
-        while (off + kFrameHeader <= used) {
-            const char *frame = seg->base + off;
-            uint32_t key_len = decodeFixed32(frame + 4);
-            uint32_t value_len = decodeFixed32(frame + 8);
-            size_t frame_len =
-                kFrameHeader + static_cast<size_t>(key_len) + value_len;
-            if (off + frame_len > used)
-                break;
-            if (decodeFixed32(frame) !=
-                recordChecksum(frame + 4, frame_len - 4)) {
-                mismatches++;
-                // Frame boundaries are untrustworthy past a bad CRC.
-                break;
-            }
-            scanned += frame_len;
-            off += frame_len;
-        }
+        const size_t end = walkFrames(seg->base, used, [](const Frame &) {});
+        scanned += end;
+        if (end != used)
+            mismatches++;
     }
     if (bytes_verified != nullptr)
         *bytes_verified += scanned;

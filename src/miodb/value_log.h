@@ -17,8 +17,10 @@
  * ([crc][key_len][value_len][key][value]) so recovery can rescan
  * segment tails after a power failure (the crash shadow model rolls
  * back unpersisted bytes, so a torn append is detected by its frame
- * CRC and the tail is truncated). The per-record key makes garbage
- * collection possible without a separate index: GC walks a victim
+ * CRC and the tail is truncated). The value is hashed once per frame:
+ * its checksum is the pointer's, and it seeds the CRC over the
+ * lengths and key (DESIGN.md Sec. 5l). The per-record key makes
+ * garbage collection possible without a separate index: GC walks a victim
  * segment's records, probes the store for the newest version of each
  * key, and relocates still-referenced payloads to the head segment.
  *
@@ -104,13 +106,16 @@ class ValueLog
                   ValuePointer *out);
 
     /**
-     * Dereference @p ptr, verifying its payload checksum.
+     * Dereference @p ptr, the pointer stored under @p key, verifying
+     * the payload checksum and the whole frame: its CRC, lengths and
+     * key must match too.
      * @return notFound when the segment no longer exists (GC unlinked
      *         it concurrently -- the caller re-runs its index lookup,
      *         which finds the relocated pointer), corruption on a
-     *         checksum mismatch, ok otherwise.
+     *         mismatch, ok otherwise.
      */
-    Status read(const ValuePointer &ptr, std::string *value) const;
+    Status read(const Slice &key, const ValuePointer &ptr,
+                std::string *value) const;
 
     /**
      * Account a dropped reference (overwrite/delete version collapse
@@ -164,6 +169,9 @@ class ValueLog
     size_t segmentCount() const;
     /** Live-payload estimate for @p segment_id (tests/debug). */
     uint64_t liveBytes(uint64_t segment_id) const;
+    /** Start of @p segment_id's region, or nullptr (tests inject
+     *  media faults through it). */
+    char *segmentBase(uint64_t segment_id) const;
 
     /** Re-point device/stats sinks after an NvmState adoption. */
     void rebind(sim::NvmDevice *nvm, StatsCounters *stats);
@@ -198,16 +206,14 @@ class ValueLog
     void recoverAfterCrash();
 
     /**
-     * Verify every record's payload checksum (background scrubber
-     * hook). @return mismatches found; adds scanned payload bytes to
-     * @p bytes_verified when given.
+     * Verify every frame's CRC (background scrubber hook); a segment
+     * counts one mismatch at its first bad frame. @return mismatches
+     * found; adds the verified frame bytes to @p bytes_verified when
+     * given.
      */
     uint64_t scrub(uint64_t *bytes_verified = nullptr) const;
 
   private:
-    /** Frame header: [u32 crc][u32 key_len][u32 value_len]. */
-    static constexpr size_t kFrameHeader = 12;
-
     struct Segment {
         uint64_t id = 0;
         char *base = nullptr;

@@ -341,8 +341,7 @@ copyingMerge(const std::shared_ptr<PMTable> &newt,
     stats->storage_bytes_written.fetch_add(arena->used(),
                                            std::memory_order_relaxed);
 
-    BloomFilter bloom = newt->bloom();
-    bloom.merge(oldt->bloom());
+    BloomFilter bloom = mergeTableBlooms(newt->bloom(), oldt->bloom(), out);
     std::string min_key = Slice(newt->minKey()).compare(
                               Slice(oldt->minKey())) < 0
                               ? newt->minKey()

@@ -1,7 +1,8 @@
 /**
  * @file
- * Non-cryptographic hash functions used by bloom filters, the table
- * cache, and WAL record checksums.
+ * Non-cryptographic hash functions used by bloom filters, skip-list
+ * entry checksums, and the record checksums of WAL frames, value-log
+ * frames and SSTable blocks (see DESIGN.md Sec. 5l).
  */
 #ifndef MIO_UTIL_HASH_H_
 #define MIO_UTIL_HASH_H_
@@ -13,7 +14,12 @@
 
 namespace mio {
 
-/** LevelDB-style Murmur-ish 32-bit hash of a byte range. */
+/**
+ * 32-bit hash of a byte range: the low half of xxHash64 (four
+ * independent 64-bit lanes over 32-byte stripes, then the tail) with
+ * @p seed zero-extended. Its values are part of the on-media
+ * format of every checksum built on it (coding_test pins them).
+ */
 uint32_t hash32(const char *data, size_t n, uint32_t seed);
 
 /** FNV-1a 64-bit hash, used where more bits are useful (bloom probing). */
@@ -25,7 +31,10 @@ hashSlice(const Slice &s, uint32_t seed = 0xbc9f1d34)
     return hash32(s.data(), s.size(), seed);
 }
 
-/** CRC-like record checksum (not a true CRC32C; stable and fast). */
+/**
+ * Integrity checksum of a record: hash32 under a fixed seed. Detects
+ * media corruption, not tampering; it is not a CRC32C.
+ */
 inline uint32_t
 recordChecksum(const char *data, size_t n)
 {

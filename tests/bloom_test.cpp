@@ -56,9 +56,26 @@ TEST(BloomTest, MergeIsUnion)
         a.add(Slice(makeKey(i)));
     for (int i = 100; i < 200; i++)
         b.add(Slice(makeKey(i)));
-    a.merge(b);
+    ASSERT_TRUE(a.merge(b));
     for (int i = 0; i < 200; i++)
         EXPECT_TRUE(a.mayContain(Slice(makeKey(i)))) << i;
+}
+
+TEST(BloomTest, MergeRefusesAnotherGeometry)
+{
+    // An OR across bit counts would drop (or read past) the larger
+    // filter's tail: the merge must refuse and leave the target as is.
+    BloomFilter small = BloomFilter::makeForCapacity(100, 16);
+    BloomFilter large = BloomFilter::makeForCapacity(1000, 16);
+    large.add(Slice(makeKey(1)));
+    small.add(Slice(makeKey(2)));
+    EXPECT_FALSE(small.merge(large));
+    EXPECT_FALSE(large.merge(small));
+    EXPECT_FALSE(small.merge(BloomFilter(small.numBits(), 3)));
+    EXPECT_EQ(small.numBits(), 1600u);
+    EXPECT_FALSE(small.mayContain(Slice(makeKey(1))));
+    EXPECT_TRUE(small.mayContain(Slice(makeKey(2))));
+    EXPECT_FALSE(large.mayContain(Slice(makeKey(2))));
 }
 
 TEST(BloomTest, EmptyFilterRejectsEverything)

@@ -126,6 +126,42 @@ TEST(MioDBRecoveryTest, ReopenAllocatesPastFlushedSequences)
     }
 }
 
+TEST(MioDBRecoveryTest, ReopenWithAnotherMemtableSizeKeepsEveryKey)
+{
+    // A PMTable's filter is sized from its MemTable, so after a reopen
+    // with a larger memtable_size a merge meets filters of two
+    // geometries. OR-ing them word by word would keep only the smaller
+    // filter's bits: gets of keys from the larger table answer
+    // NotFound. Filters are merged, and probed, in both orders here.
+    for (bool grow : {true, false}) {
+        SCOPED_TRACE(grow ? "8 KiB -> 64 KiB" : "64 KiB -> 8 KiB");
+        sim::NvmDevice nvm;
+        wal::WalRegistry registry;
+        MioOptions o = smallOptions();
+        o.elastic_levels = 5;  // merge results stay in the buffer
+        o.deterministic_background = true;
+        o.memtable_size = grow ? 8 << 10 : 64 << 10;
+        std::shared_ptr<NvmState> state;
+        {
+            MioDB db(o, &nvm, nullptr, &registry);
+            state = db.nvmState();
+            for (int i = 0; i < 50; i++)
+                ASSERT_TRUE(db.put(Slice(makeKey(i)), Slice("first")).isOk());
+        }
+        o.memtable_size = grow ? 64 << 10 : 8 << 10;
+        MioDB db(o, &nvm, nullptr, &registry, state);
+        for (int i = 50; i < 3000; i++)
+            ASSERT_TRUE(db.put(Slice(makeKey(i)), Slice("second")).isOk());
+        db.waitIdle();
+        ASSERT_GT(db.stats().zero_copy_merges.load(), 0u);
+        std::string v;
+        for (int i = 0; i < 3000; i++) {
+            ASSERT_TRUE(db.get(Slice(makeKey(i)), &v).isOk()) << i;
+            EXPECT_EQ(v, i < 50 ? "first" : "second") << i;
+        }
+    }
+}
+
 TEST(MioDBRecoveryTest, ReplaySkipsRecordsOfFlushedTables)
 {
     // WAL recycle jobs run after their flush, in any order across
