@@ -287,24 +287,6 @@ printSchedStats(const StatsSnapshot &agg)
     }
 }
 
-/** Accumulate the scheduler slice of @p s into @p agg. */
-void
-addSchedStats(StatsSnapshot *agg, const StatsSnapshot &s)
-{
-    for (int j = 0; j < StatsCounters::kJobClasses; j++) {
-        agg->sched_submitted[j] += s.sched_submitted[j];
-        agg->sched_completed[j] += s.sched_completed[j];
-        agg->sched_dropped[j] += s.sched_dropped[j];
-        agg->sched_queue_ns[j] += s.sched_queue_ns[j];
-        agg->sched_run_ns[j] += s.sched_run_ns[j];
-        for (int b = 0; b < StatsCounters::kSchedLatBuckets; b++) {
-            agg->sched_queue_hist[j][b] += s.sched_queue_hist[j][b];
-            agg->sched_run_hist[j][b] += s.sched_run_hist[j][b];
-        }
-    }
-    agg->sched_escalations += s.sched_escalations;
-}
-
 } // namespace
 
 int
@@ -362,7 +344,7 @@ main(int argc, char **argv)
                             r.nvm_charged_read_bytes / 1e6, 1)});
         }
         if (want_stats)
-            addSchedStats(&sched_agg, snapshotOf(fs.db->stats()));
+            statsAdd(&sched_agg, snapshotOf(fs.db->stats()));
     }
     tbl.print();
     if (want_stats) {

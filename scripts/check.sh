@@ -13,10 +13,6 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
-# buffer_cap_test is excluded by default: its "throttling engaged"
-# assertion needs the writer to outrun background migration, which
-# TSan's slowdown prevents (no race involved -- it runs in the
-# normal-build suite).
 TSAN_TESTS="${MIO_TSAN_TESTS:-group_commit_test|miodb_concurrency_test|multiwriter_test|miodb_recovery_test|failpoint_test|bloom_summary_test|fence_index_test|flush_shutdown_test|fault_soak_test|sched_test|sharded_store_test|snapshot_iterator_test|value_log_test|crash_sweep_test|read_cache_test}"
 
 if [ "${1:-}" != "--tsan-only" ]; then
@@ -58,13 +54,9 @@ if [ "${1:-}" != "--tsan-only" ]; then
     echo "=== ASan/UBSan leg (full suite, LeakSanitizer on)"
     cmake -B build-asan -S . -DMIO_SANITIZE=address >/dev/null
     cmake --build build-asan -j "$JOBS"
-    # buffer_cap_test runs alone: its "throttling engaged" assertion
-    # needs the writer to outrun migration, which ASan's slowdown with
-    # other tests beside it can prevent (no memory error involved).
     (cd build-asan &&
-         export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 &&
-         ctest --output-on-failure -j "$JOBS" -E "^buffer_cap_test$" &&
-         ctest --output-on-failure -R "^buffer_cap_test$")
+         UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+         ctest --output-on-failure -j "$JOBS")
     echo "=== no bare sleep-polling on background control paths"
     if grep -rn "sleep_for" src/sched src/miodb src/lsm src/shard; then
         echo "error: background paths must wait on the scheduler" >&2

@@ -3,6 +3,11 @@
  * Shared statistics counters every store implementation feeds; the
  * bench harness reads snapshots to reproduce the paper's cost
  * breakdowns (Table 1) and WA figures (Fig. 11).
+ *
+ * Every counter is defined once, in MIO_STATS_COUNTERS below; the
+ * live atomics, the plain snapshot and the fieldwise operations
+ * (snapshotOf, statsDelta, statsAdd, loadInto) are all generated
+ * from that table.
  */
 #ifndef MIO_KV_STORE_STATS_H_
 #define MIO_KV_STORE_STATS_H_
@@ -13,155 +18,213 @@
 
 namespace mio {
 
+/** How a counter combines across phases (statsDelta) and shards
+ *  (statsAdd). */
+enum class StatKind {
+    /** Monotone count: a phase delta subtracts, shards sum. */
+    kCounter,
+    /** Point-in-time reading: a delta carries the later reading,
+     *  shards sum. */
+    kGauge,
+    /** Open-relative timestamp: a delta carries the later reading,
+     *  shards take the max. */
+    kMax,
+};
+
+/**
+ * The counter table, in field order: X(name, kind, shape) per counter,
+ * where kind is a StatKind enumerator and shape one of the
+ * StatsCounters shape templates (Scalar, PerGroupSize, PerJobClass,
+ * PerJobClassLatency). Adding a counter is one entry here; keep hot
+ * counters where they are, since the order fixes each atomic's cache
+ * line.
+ */
+#define MIO_STATS_COUNTERS(X)                                                 \
+    /* -- stall accounting (paper Sec. 3.1 definitions) -- */                 \
+    /** Writer fully blocked (immutable not yet flushed / L0 stop). */        \
+    X(interval_stall_ns, kCounter, Scalar)                                    \
+    /** Deliberate per-write slowdowns near trigger thresholds. */            \
+    X(cumulative_stall_ns, kCounter, Scalar)                                  \
+    /* -- flush path -- */                                                    \
+    /** Time spent flushing MemTables. */                                     \
+    X(flush_ns, kCounter, Scalar)                                             \
+    /** MemTables flushed. */                                                 \
+    X(flush_count, kCounter, Scalar)                                          \
+    /** Bytes those flushes moved out of DRAM. */                             \
+    X(flushed_bytes, kCounter, Scalar)                                        \
+    /** Time spent serializing MemTable entries to table format. */           \
+    X(serialization_ns, kCounter, Scalar)                                     \
+    /** Time spent reading+decoding serialized blocks on the read path. */    \
+    X(deserialization_ns, kCounter, Scalar)                                   \
+    /* -- traffic -- */                                                       \
+    /** User-written bytes (the WA denominator). */                           \
+    X(user_bytes_written, kCounter, Scalar)                                   \
+    /** Bytes appended to the write-ahead log. */                             \
+    X(wal_bytes_written, kCounter, Scalar)                                    \
+    /** Bytes written to storage by flushes + compactions. */                 \
+    X(storage_bytes_written, kCounter, Scalar)                                \
+    /* -- compaction -- */                                                    \
+    /** Compactions / merges completed. */                                    \
+    X(compaction_count, kCounter, Scalar)                                     \
+    /** Time spent in them. */                                                \
+    X(compaction_ns, kCounter, Scalar)                                        \
+    /** Zero-copy (pointer relink) merges within the NVM buffer. */           \
+    X(zero_copy_merges, kCounter, Scalar)                                     \
+    /** Lazy-copy merges into the repository. */                              \
+    X(lazy_copy_merges, kCounter, Scalar)                                     \
+    /* -- ops -- */                                                           \
+    /** Put calls. */                                                         \
+    X(puts, kCounter, Scalar)                                                 \
+    /** Get calls. */                                                         \
+    X(gets, kCounter, Scalar)                                                 \
+    /** Delete calls. */                                                      \
+    X(deletes, kCounter, Scalar)                                              \
+    /** Scan calls. */                                                        \
+    X(scans, kCounter, Scalar)                                                \
+    /** Table probes skipped by a per-table bloom filter. */                  \
+    X(bloom_filter_skips, kCounter, Scalar)                                   \
+    /** Whole buffer levels skipped by the per-level bloom summary. */        \
+    X(bloom_summary_skips, kCounter, Scalar)                                  \
+    /** Per-level lookup retries after a concurrent manifest publish. */      \
+    X(read_retries, kCounter, Scalar)                                         \
+    /** Table probes answered by a DRAM fence walk (no descent). */           \
+    X(fence_probes, kCounter, Scalar)                                         \
+    /** NVM nodes those fence walks dereferenced. */                          \
+    X(fence_walk_nodes, kCounter, Scalar)                                     \
+    /** DRAM bytes held by published fence indexes. */                        \
+    X(fence_bytes, kGauge, Scalar)                                            \
+    /* -- group commit (write pipeline) -- */                                 \
+    /** Commit groups published by a leader writer. */                        \
+    X(groups_committed, kCounter, Scalar)                                     \
+    /** Writer records committed through groups (>= groups_committed). */     \
+    X(group_writers, kCounter, Scalar)                                        \
+    /** WAL record appends avoided by combining writers into groups. */       \
+    X(wal_appends_saved, kCounter, Scalar)                                    \
+    /** Groups per size bucket (groupSizeBucket). */                          \
+    X(group_size_hist, kCounter, PerGroupSize)                                \
+    /* -- media-fault tolerance (NVM watermarks, scrubber, retries) -- */     \
+    /** Writes slowed down above the soft NVM watermark. */                   \
+    X(write_slowdowns, kCounter, Scalar)                                      \
+    /** Writers that entered a bounded hard-watermark stall. */               \
+    X(write_stalls, kCounter, Scalar)                                         \
+    /** Writes rejected with Status::busy after a stall timed out. */         \
+    X(busy_rejections, kCounter, Scalar)                                      \
+    /** Scrubber passes completed. */                                         \
+    X(scrub_passes, kCounter, Scalar)                                         \
+    /** Payload bytes whose checksums the scrubber verified. */               \
+    X(scrub_bytes, kCounter, Scalar)                                          \
+    /** Checksum mismatches found (scrubber or read-path verify). */          \
+    X(corruptions_detected, kCounter, Scalar)                                 \
+    /** PMTables/SSTables quarantined after a checksum mismatch. */           \
+    X(tables_quarantined, kCounter, Scalar)                                   \
+    /** Transient SSD I/O errors absorbed by retry-with-backoff. */           \
+    X(ssd_io_retries, kCounter, Scalar)                                       \
+    /** WAL frames dropped by recovery as corrupt (torn/flipped). */          \
+    X(wal_corrupt_frames, kCounter, Scalar)                                   \
+    /* -- snapshots (incremented at pin, decremented at release; nonzero */   \
+    /*    at close means a leaked pin) -- */                                  \
+    /** Snapshots currently held by callers. */                               \
+    X(snapshots_live, kGauge, Scalar)                                         \
+    /** Level manifests (and table sets) pinned by live snapshots. */         \
+    X(snapshots_pinned_manifests, kGauge, Scalar)                             \
+    /* -- value log (key-value separation) -- */                              \
+    /** Values separated into the NVM value log at write time. */             \
+    X(vlog_appends, kCounter, Scalar)                                         \
+    /** Payload bytes appended to the value log (user + GC traffic). */       \
+    X(vlog_appended_bytes, kCounter, Scalar)                                  \
+    /** Pointer dereferences served by the value log on reads/scans. */       \
+    X(vlog_deref_reads, kCounter, Scalar)                                     \
+    /** GC passes that examined at least one victim segment. */               \
+    X(vlog_gc_passes, kCounter, Scalar)                                       \
+    /** Live bytes GC re-appended to the head segment. */                     \
+    X(vlog_gc_relocated_bytes, kCounter, Scalar)                              \
+    /** Segment capacity returned to the device by GC unlinks. */             \
+    X(vlog_gc_reclaimed_bytes, kCounter, Scalar)                              \
+    /** Value-log segments allocated. */                                      \
+    X(vlog_segments_created, kCounter, Scalar)                                \
+    /** Value-log segments GC unlinked. */                                    \
+    X(vlog_segments_unlinked, kCounter, Scalar)                               \
+    /** Segments currently holding data. */                                   \
+    X(vlog_segments_live, kGauge, Scalar)                                     \
+    /* -- recovery (WAL replay at open) -- */                                 \
+    /** WAL records applied by the open-time replay. */                       \
+    X(wal_frames_replayed, kCounter, Scalar)                                  \
+    /** Always 0: no record is replayed on demand after open. */              \
+    X(wal_frames_on_demand, kCounter, Scalar)                                 \
+    /** open() -> store serving (includes the replay); a machine is ready */  \
+    /*  when its last shard is, so shards aggregate by max. */                \
+    X(recovery_ms_to_ready, kMax, Scalar)                                     \
+    /* -- memory governor + DRAM read cache -- */                             \
+    /** Read-cache probes answered from DRAM. */                              \
+    X(cache_hits, kCounter, Scalar)                                           \
+    /** Read-cache probes that fell through to the levels/repo. */            \
+    X(cache_misses, kCounter, Scalar)                                         \
+    /** Entries evicted by LRU pressure (capacity, not staleness). */         \
+    X(cache_evictions, kCounter, Scalar)                                      \
+    /** Invalidation events (flush installs, quarantine clears). */           \
+    X(cache_invalidations, kCounter, Scalar)                                  \
+    /** Tuner decisions that changed a budget or watermark. */                \
+    X(tuner_moves, kCounter, Scalar)                                          \
+    /* Governor gauges (point-in-time bytes). Each governor publishes */      \
+    /* into exactly one sink, so summing shards never counts a budget */      \
+    /* twice. */                                                              \
+    /** DRAM charged to MemTables. */                                         \
+    X(gov_memtable_bytes, kGauge, Scalar)                                     \
+    /** DRAM charged to the read cache. */                                    \
+    X(gov_cache_bytes, kGauge, Scalar)                                        \
+    /** NVM charged to the elastic buffer. */                                 \
+    X(gov_nvm_buffer_bytes, kGauge, Scalar)                                   \
+    /** NVM charged to the value log. */                                      \
+    X(gov_vlog_bytes, kGauge, Scalar)                                         \
+    /** Current MemTable DRAM budget. */                                      \
+    X(gov_memtable_limit, kGauge, Scalar)                                     \
+    /** Current read-cache DRAM budget. */                                    \
+    X(gov_cache_limit, kGauge, Scalar)                                        \
+    /* -- background scheduler (per-job-class observability) -- */            \
+    /** Jobs queued per class. */                                             \
+    X(sched_submitted, kCounter, PerJobClass)                                 \
+    /** Jobs run to completion per class. */                                  \
+    X(sched_completed, kCounter, PerJobClass)                                 \
+    /** Jobs discarded unexecuted (freeze/shutdown). */                       \
+    X(sched_dropped, kCounter, PerJobClass)                                   \
+    /** Total submit->dispatch wait per class. */                             \
+    X(sched_queue_ns, kCounter, PerJobClass)                                  \
+    /** Total execution time per class. */                                    \
+    X(sched_run_ns, kCounter, PerJobClass)                                    \
+    /** Submit->dispatch waits per class and schedLatBucket. */               \
+    X(sched_queue_hist, kCounter, PerJobClassLatency)                         \
+    /** Run times per class and schedLatBucket. */                            \
+    X(sched_run_hist, kCounter, PerJobClassLatency)                           \
+    /** Dispatches where an urgency probe overrode base priority. */          \
+    X(sched_escalations, kCounter, Scalar)
+
 /**
  * Live atomic counters. Components hold a pointer to their store's
  * instance and bump the fields they are responsible for.
  */
 struct StatsCounters {
-    // -- stall accounting (paper Sec. 3.1 definitions) --
-    /** Writer fully blocked (immutable not yet flushed / L0 stop). */
-    std::atomic<uint64_t> interval_stall_ns{0};
-    /** Deliberate per-write slowdowns near trigger thresholds. */
-    std::atomic<uint64_t> cumulative_stall_ns{0};
-
-    // -- flush path --
-    std::atomic<uint64_t> flush_ns{0};
-    std::atomic<uint64_t> flush_count{0};
-    std::atomic<uint64_t> flushed_bytes{0};
-    /** Time spent serializing MemTable entries to table format. */
-    std::atomic<uint64_t> serialization_ns{0};
-    /** Time spent reading+decoding serialized blocks on the read path. */
-    std::atomic<uint64_t> deserialization_ns{0};
-
-    // -- traffic --
-    std::atomic<uint64_t> user_bytes_written{0};
-    std::atomic<uint64_t> wal_bytes_written{0};
-    /** Bytes written to storage by flushes + compactions. */
-    std::atomic<uint64_t> storage_bytes_written{0};
-
-    // -- compaction --
-    std::atomic<uint64_t> compaction_count{0};
-    std::atomic<uint64_t> compaction_ns{0};
-    std::atomic<uint64_t> zero_copy_merges{0};
-    std::atomic<uint64_t> lazy_copy_merges{0};
-
-    // -- ops --
-    std::atomic<uint64_t> puts{0};
-    std::atomic<uint64_t> gets{0};
-    std::atomic<uint64_t> deletes{0};
-    std::atomic<uint64_t> scans{0};
-    std::atomic<uint64_t> bloom_filter_skips{0};
-    /** Whole buffer levels skipped by the per-level bloom summary. */
-    std::atomic<uint64_t> bloom_summary_skips{0};
-    /** Per-level lookup retries after a concurrent manifest publish. */
-    std::atomic<uint64_t> read_retries{0};
-    /** Table probes answered by a DRAM fence walk (no descent). */
-    std::atomic<uint64_t> fence_probes{0};
-    /** NVM nodes those fence walks dereferenced. */
-    std::atomic<uint64_t> fence_walk_nodes{0};
-    /** Gauge: DRAM bytes held by published fence indexes. */
-    std::atomic<uint64_t> fence_bytes{0};
-
-    // -- group commit (write pipeline) --
     /** Log2-ish buckets of writers-per-group: 1, 2, 3-4, 5-8, ... */
     static constexpr int kGroupSizeBuckets = 8;
-    /** Commit groups published by a leader writer. */
-    std::atomic<uint64_t> groups_committed{0};
-    /** Writer records committed through groups (>= groups_committed). */
-    std::atomic<uint64_t> group_writers{0};
-    /** WAL record appends avoided by combining writers into groups. */
-    std::atomic<uint64_t> wal_appends_saved{0};
-    std::atomic<uint64_t> group_size_hist[kGroupSizeBuckets]{};
-
-    // -- media-fault tolerance (NVM watermarks, scrubber, retries) --
-    /** Writes slowed down above the soft NVM watermark. */
-    std::atomic<uint64_t> write_slowdowns{0};
-    /** Writers that entered a bounded hard-watermark stall. */
-    std::atomic<uint64_t> write_stalls{0};
-    /** Writes rejected with Status::busy after a stall timed out. */
-    std::atomic<uint64_t> busy_rejections{0};
-    std::atomic<uint64_t> scrub_passes{0};
-    /** Payload bytes whose checksums the scrubber verified. */
-    std::atomic<uint64_t> scrub_bytes{0};
-    /** Checksum mismatches found (scrubber or read-path verify). */
-    std::atomic<uint64_t> corruptions_detected{0};
-    /** PMTables/SSTables quarantined after a checksum mismatch. */
-    std::atomic<uint64_t> tables_quarantined{0};
-    /** Transient SSD I/O errors absorbed by retry-with-backoff. */
-    std::atomic<uint64_t> ssd_io_retries{0};
-    /** WAL frames dropped by recovery as corrupt (torn/flipped). */
-    std::atomic<uint64_t> wal_corrupt_frames{0};
-
-    // -- snapshots (gauges: incremented at pin, decremented at
-    //    release; nonzero at close means a leaked pin) --
-    /** Snapshots currently held by callers. */
-    std::atomic<uint64_t> snapshots_live{0};
-    /** Level manifests (and table sets) pinned by live snapshots. */
-    std::atomic<uint64_t> snapshots_pinned_manifests{0};
-
-    // -- value log (key-value separation) --
-    /** Values separated into the NVM value log at write time. */
-    std::atomic<uint64_t> vlog_appends{0};
-    /** Payload bytes appended to the value log (user + GC traffic). */
-    std::atomic<uint64_t> vlog_appended_bytes{0};
-    /** Pointer dereferences served by the value log on reads/scans. */
-    std::atomic<uint64_t> vlog_deref_reads{0};
-    /** GC passes that examined at least one victim segment. */
-    std::atomic<uint64_t> vlog_gc_passes{0};
-    /** Live bytes GC re-appended to the head segment. */
-    std::atomic<uint64_t> vlog_gc_relocated_bytes{0};
-    /** Segment capacity returned to the device by GC unlinks. */
-    std::atomic<uint64_t> vlog_gc_reclaimed_bytes{0};
-    std::atomic<uint64_t> vlog_segments_created{0};
-    std::atomic<uint64_t> vlog_segments_unlinked{0};
-    /** Gauge: segments currently holding data. */
-    std::atomic<uint64_t> vlog_segments_live{0};
-
-    // -- recovery (WAL replay at open) --
-    /** WAL records applied by the open-time replay. */
-    std::atomic<uint64_t> wal_frames_replayed{0};
-    /** Always 0: no record is replayed on demand after open. */
-    std::atomic<uint64_t> wal_frames_on_demand{0};
-    /** open() -> store serving (includes the replay). */
-    std::atomic<uint64_t> recovery_ms_to_ready{0};
-
-    // -- memory governor + DRAM read cache --
-    /** Read-cache probes answered from DRAM. */
-    std::atomic<uint64_t> cache_hits{0};
-    /** Read-cache probes that fell through to the levels/repo. */
-    std::atomic<uint64_t> cache_misses{0};
-    /** Entries evicted by LRU pressure (capacity, not staleness). */
-    std::atomic<uint64_t> cache_evictions{0};
-    /** Invalidation events (flush installs, quarantine clears). */
-    std::atomic<uint64_t> cache_invalidations{0};
-    /** Tuner decisions that changed a budget or watermark. */
-    std::atomic<uint64_t> tuner_moves{0};
-    // Gauges published by the MemoryGovernor (point-in-time bytes).
-    std::atomic<uint64_t> gov_memtable_bytes{0};
-    std::atomic<uint64_t> gov_cache_bytes{0};
-    std::atomic<uint64_t> gov_nvm_buffer_bytes{0};
-    std::atomic<uint64_t> gov_vlog_bytes{0};
-    std::atomic<uint64_t> gov_memtable_limit{0};
-    std::atomic<uint64_t> gov_cache_limit{0};
-
-    // -- background scheduler (per-job-class observability) --
-    /** Job classes: flush, lcm, zcm, ssd, wal-recycle, scrub, vloggc,
-     *  shard-open, memtune. */
+    /** Background job classes, indexed by sched::JobClass. */
     static constexpr int kJobClasses = 9;
+    /** Short stable name per job class (sched::jobClassName). */
+    static constexpr const char *kJobClassNames[kJobClasses] = {
+        "flush", "lcm",    "zcm",    "ssd",    "walrec",
+        "scrub", "vloggc", "walrep", "memtune"};
     /** Decade latency buckets: <1us, <10us, ..., <1s, >=1s. */
     static constexpr int kSchedLatBuckets = 8;
-    std::atomic<uint64_t> sched_submitted[kJobClasses]{};
-    std::atomic<uint64_t> sched_completed[kJobClasses]{};
-    /** Jobs discarded unexecuted (freeze/shutdown). */
-    std::atomic<uint64_t> sched_dropped[kJobClasses]{};
-    /** Total submit->dispatch wait per class. */
-    std::atomic<uint64_t> sched_queue_ns[kJobClasses]{};
-    /** Total execution time per class. */
-    std::atomic<uint64_t> sched_run_ns[kJobClasses]{};
-    std::atomic<uint64_t> sched_queue_hist[kJobClasses][kSchedLatBuckets]{};
-    std::atomic<uint64_t> sched_run_hist[kJobClasses][kSchedLatBuckets]{};
-    /** Dispatches where an urgency probe overrode base priority. */
-    std::atomic<uint64_t> sched_escalations{0};
+
+    // Counter shapes the table names.
+    template <typename T> using Scalar = T;
+    template <typename T> using PerGroupSize = T[kGroupSizeBuckets];
+    template <typename T> using PerJobClass = T[kJobClasses];
+    template <typename T>
+    using PerJobClassLatency = T[kJobClasses][kSchedLatBuckets];
+
+#define MIO_STATS_ATOMIC(name, kind, shape)                                   \
+    shape<std::atomic<uint64_t>> name{};
+    MIO_STATS_COUNTERS(MIO_STATS_ATOMIC)
+#undef MIO_STATS_ATOMIC
 
     /** Bucket index for a group of @p writers members. */
     static int
@@ -188,82 +251,15 @@ struct StatsCounters {
     }
 };
 
-/** Plain-value snapshot of StatsCounters. */
+/** Plain-value snapshot of StatsCounters: the same fields, in the same
+ *  order, as uint64_t. */
 struct StatsSnapshot {
-    uint64_t interval_stall_ns = 0;
-    uint64_t cumulative_stall_ns = 0;
-    uint64_t flush_ns = 0;
-    uint64_t flush_count = 0;
-    uint64_t flushed_bytes = 0;
-    uint64_t serialization_ns = 0;
-    uint64_t deserialization_ns = 0;
-    uint64_t user_bytes_written = 0;
-    uint64_t wal_bytes_written = 0;
-    uint64_t storage_bytes_written = 0;
-    uint64_t compaction_count = 0;
-    uint64_t compaction_ns = 0;
-    uint64_t zero_copy_merges = 0;
-    uint64_t lazy_copy_merges = 0;
-    uint64_t puts = 0;
-    uint64_t gets = 0;
-    uint64_t deletes = 0;
-    uint64_t scans = 0;
-    uint64_t bloom_filter_skips = 0;
-    uint64_t bloom_summary_skips = 0;
-    uint64_t read_retries = 0;
-    uint64_t fence_probes = 0;
-    uint64_t fence_walk_nodes = 0;
-    uint64_t fence_bytes = 0;
-    uint64_t groups_committed = 0;
-    uint64_t group_writers = 0;
-    uint64_t wal_appends_saved = 0;
-    uint64_t group_size_hist[StatsCounters::kGroupSizeBuckets] = {};
-    uint64_t write_slowdowns = 0;
-    uint64_t write_stalls = 0;
-    uint64_t busy_rejections = 0;
-    uint64_t scrub_passes = 0;
-    uint64_t scrub_bytes = 0;
-    uint64_t corruptions_detected = 0;
-    uint64_t tables_quarantined = 0;
-    uint64_t ssd_io_retries = 0;
-    uint64_t wal_corrupt_frames = 0;
-    uint64_t snapshots_live = 0;
-    uint64_t snapshots_pinned_manifests = 0;
-    uint64_t vlog_appends = 0;
-    uint64_t vlog_appended_bytes = 0;
-    uint64_t vlog_deref_reads = 0;
-    uint64_t vlog_gc_passes = 0;
-    uint64_t vlog_gc_relocated_bytes = 0;
-    uint64_t vlog_gc_reclaimed_bytes = 0;
-    uint64_t vlog_segments_created = 0;
-    uint64_t vlog_segments_unlinked = 0;
-    uint64_t vlog_segments_live = 0;
-    uint64_t wal_frames_replayed = 0;
-    uint64_t wal_frames_on_demand = 0;
-    uint64_t recovery_ms_to_ready = 0;
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    uint64_t cache_evictions = 0;
-    uint64_t cache_invalidations = 0;
-    uint64_t tuner_moves = 0;
-    uint64_t gov_memtable_bytes = 0;
-    uint64_t gov_cache_bytes = 0;
-    uint64_t gov_nvm_buffer_bytes = 0;
-    uint64_t gov_vlog_bytes = 0;
-    uint64_t gov_memtable_limit = 0;
-    uint64_t gov_cache_limit = 0;
-    uint64_t sched_submitted[StatsCounters::kJobClasses] = {};
-    uint64_t sched_completed[StatsCounters::kJobClasses] = {};
-    uint64_t sched_dropped[StatsCounters::kJobClasses] = {};
-    uint64_t sched_queue_ns[StatsCounters::kJobClasses] = {};
-    uint64_t sched_run_ns[StatsCounters::kJobClasses] = {};
-    uint64_t sched_queue_hist[StatsCounters::kJobClasses]
-                             [StatsCounters::kSchedLatBuckets] = {};
-    uint64_t sched_run_hist[StatsCounters::kJobClasses]
-                           [StatsCounters::kSchedLatBuckets] = {};
-    uint64_t sched_escalations = 0;
+#define MIO_STATS_FIELD(name, kind, shape)                                    \
+    StatsCounters::shape<uint64_t> name{};
+    MIO_STATS_COUNTERS(MIO_STATS_FIELD)
+#undef MIO_STATS_FIELD
 
-    /** Mean writers per commit group (1.0 when grouping never fired). */
+    /** Mean writers per commit group (0 when grouping never fired). */
     double
     averageGroupSize() const
     {
@@ -294,10 +290,12 @@ struct StatsSnapshot {
 
 StatsSnapshot snapshotOf(const StatsCounters &c);
 
-/** a - b, fieldwise; for measuring a phase. */
+/** a - b per kCounter field; gauges and kMax fields carry a's reading.
+ *  For measuring a phase. */
 StatsSnapshot statsDelta(const StatsSnapshot &a, const StatsSnapshot &b);
 
-/** acc + b, fieldwise; for aggregating across shards. */
+/** acc + b per field, except kMax fields take the max; for
+ *  aggregating across shards. */
 void statsAdd(StatsSnapshot *acc, const StatsSnapshot &b);
 
 /** Store @p s into @p out, fieldwise (relaxed); the inverse of

@@ -29,18 +29,9 @@ BackgroundScheduler::inJob()
 const char *
 jobClassName(JobClass c)
 {
-    switch (c) {
-    case JobClass::kFlush: return "flush";
-    case JobClass::kLazyCopyMerge: return "lcm";
-    case JobClass::kZeroCopyMerge: return "zcm";
-    case JobClass::kSsdCompaction: return "ssd";
-    case JobClass::kWalRecycle: return "walrec";
-    case JobClass::kScrub: return "scrub";
-    case JobClass::kVlogGc: return "vloggc";
-    case JobClass::kWalReplay: return "walrep";
-    case JobClass::kMemTuner: return "memtune";
-    }
-    return "?";
+    const int i = static_cast<int>(c);
+    return i >= 0 && i < kNumJobClasses ? StatsCounters::kJobClassNames[i]
+                                        : "?";
 }
 
 BackgroundScheduler::BackgroundScheduler(const Options &options)

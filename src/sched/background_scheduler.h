@@ -71,6 +71,9 @@ enum class JobClass : int {
 };
 
 inline constexpr int kNumJobClasses = StatsCounters::kJobClasses;
+static_assert(static_cast<int>(JobClass::kMemTuner) + 1 == kNumJobClasses,
+              "StatsCounters sizes its per-class arrays and names by "
+              "JobClass");
 
 /** Short stable name for logs, stats dumps, and tests. */
 const char *jobClassName(JobClass c);

@@ -1,9 +1,26 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 namespace mio {
+
+namespace {
+
+/** A flag's value does not parse as its type: say so and exit 2. */
+[[noreturn]] void
+rejectValue(const std::string &name, const std::string &value,
+            const char *want)
+{
+    fprintf(stderr, "--%s=%s: not %s\n", name.c_str(), value.c_str(),
+            want);
+    exit(2);
+}
+
+} // namespace
 
 Flags::Flags(int argc, char **argv)
 {
@@ -40,15 +57,30 @@ int64_t
 Flags::getInt(const std::string &name, int64_t def) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? def : strtoll(it->second.c_str(),
-                                               nullptr, 10);
+    if (it == values_.end())
+        return def;
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const long long v = strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno != 0)
+        rejectValue(name, it->second, "an integer");
+    return v;
 }
 
 double
 Flags::getDouble(const std::string &name, double def) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? def : strtod(it->second.c_str(), nullptr);
+    if (it == values_.end())
+        return def;
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = strtod(text, &end);
+    if (end == text || *end != '\0' || errno != 0)
+        rejectValue(name, it->second, "a number");
+    return v;
 }
 
 bool
@@ -57,7 +89,12 @@ Flags::getBool(const std::string &name, bool def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    return it->second == "true" || it->second == "1" || it->second == "yes";
+    const std::string &v = it->second;
+    if (v == "true" || v == "1" || v == "yes")
+        return true;
+    if (v == "false" || v == "0" || v == "no")
+        return false;
+    rejectValue(name, v, "true/false, 1/0 or yes/no");
 }
 
 uint64_t
@@ -66,17 +103,21 @@ Flags::getSize(const std::string &name, uint64_t def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
+    const char *text = it->second.c_str();
     char *end = nullptr;
-    double v = strtod(it->second.c_str(), &end);
+    errno = 0;
+    const double v = strtod(text, &end);
+    const bool number =
+        end != text && errno == 0 && v >= 0 && std::isfinite(v);
     uint64_t mult = 1;
-    if (end && *end) {
-        switch (*end) {
-          case 'k': case 'K': mult = 1024ULL; break;
-          case 'm': case 'M': mult = 1024ULL * 1024; break;
-          case 'g': case 'G': mult = 1024ULL * 1024 * 1024; break;
-          default: break;
-        }
+    switch (*end) {
+      case 'k': case 'K': mult = 1024ULL; end++; break;
+      case 'm': case 'M': mult = 1024ULL * 1024; end++; break;
+      case 'g': case 'G': mult = 1024ULL * 1024 * 1024; end++; break;
+      default: break;
     }
+    if (!number || *end != '\0')
+        rejectValue(name, it->second, "a size (bytes or k/m/g suffix)");
     return static_cast<uint64_t>(v * static_cast<double>(mult));
 }
 

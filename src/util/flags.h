@@ -1,7 +1,9 @@
 /**
  * @file
  * Minimal command-line flag parser shared by the bench binaries and
- * examples: --name=value or --name value, with typed accessors.
+ * examples: --name=value or --name value, with typed accessors. A
+ * typed accessor given a value that does not parse as its type prints
+ * the flag and value to stderr and exits with code 2.
  */
 #ifndef MIO_UTIL_FLAGS_H_
 #define MIO_UTIL_FLAGS_H_
@@ -24,7 +26,7 @@ class Flags
     double getDouble(const std::string &name, double def) const;
     bool getBool(const std::string &name, bool def) const;
 
-    /** Human-readable size: accepts plain bytes or k/m/g suffixes. */
+    /** Human-readable size: plain bytes or a k/m/g suffix (binary). */
     uint64_t getSize(const std::string &name, uint64_t def) const;
 
   private:

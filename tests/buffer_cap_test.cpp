@@ -9,13 +9,16 @@ namespace {
 
 TEST(BufferCapTest, CapThrottlesAndBoundsFootprint)
 {
-    // Realistic device timing so migration (background, paying NVM
-    // costs) lags the writer and the cap actually engages.
+    // Deterministic background: queued flushes and merges run only
+    // while a writer waits on store progress, so migration never keeps
+    // the buffer under the cap on its own and the writer reaches the
+    // over-cap wait in every interleaving.
     sim::NvmDevice nvm(sim::MemoryPerfModel::optaneDefault());
     MioOptions o;
     o.memtable_size = 16 << 10;
     o.elastic_levels = 2;
     o.nvm_buffer_cap_bytes = 64 << 10;  // 4 memtables worth
+    o.deterministic_background = true;
     // The cap throttles the elastic buffer; keep the 1 KiB values
     // inline so they actually land there instead of the value log.
     o.value_separation_threshold = 0;

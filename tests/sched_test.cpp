@@ -109,10 +109,16 @@ TEST(SchedTest, PriorityOrderHoldsWithSingleWorker)
 
     std::mutex gate;
     gate.lock();
-    ASSERT_TRUE(sched.submit(JobClass::kScrub, [&gate] {
+    std::atomic<bool> gate_running{false};
+    ASSERT_TRUE(sched.submit(JobClass::kScrub, [&gate, &gate_running] {
+        gate_running.store(true);
         gate.lock();  // held by the test until all jobs are queued
         gate.unlock();
     }));
+    // The worker must hold the gate job before the others are queued,
+    // or it could dispatch one of them ahead of it.
+    while (!gate_running.load())
+        std::this_thread::yield();
 
     std::mutex order_mu;
     std::vector<JobClass> ran;

@@ -56,6 +56,42 @@ TEST(FlagsTest, BoolSpellings)
     EXPECT_FALSE(flags.getBool("f2", true));
 }
 
+TEST(FlagsDeathTest, GarbledValuesExitWithCode2)
+{
+    const char *argv[] = {"prog",        "--n=banana",  "--m=12x",
+                          "--e=",        "--d=1.5.2",   "--b=maybe",
+                          "--s=banana",  "--t=4q",      "--u=2mb",
+                          "--v=-1k",     "--w=99999999999999999999",
+                          "--x=k"};
+    Flags flags(12, const_cast<char **>(argv));
+    const auto code2 = ::testing::ExitedWithCode(2);
+    EXPECT_EXIT(flags.getInt("n", 0), code2, "--n=banana");
+    EXPECT_EXIT(flags.getInt("m", 0), code2, "--m=12x");
+    EXPECT_EXIT(flags.getInt("e", 0), code2, "--e=");
+    EXPECT_EXIT(flags.getInt("w", 0), code2, "--w=9");
+    EXPECT_EXIT(flags.getDouble("d", 0), code2, "--d=1.5.2");
+    EXPECT_EXIT(flags.getBool("b", false), code2, "--b=maybe");
+    EXPECT_EXIT(flags.getSize("s", 0), code2, "--s=banana");
+    EXPECT_EXIT(flags.getSize("t", 0), code2, "--t=4q");
+    EXPECT_EXIT(flags.getSize("u", 0), code2, "--u=2mb");
+    EXPECT_EXIT(flags.getSize("v", 0), code2, "--v=-1k");
+    EXPECT_EXIT(flags.getSize("x", 0), code2, "--x=k");
+}
+
+TEST(FlagsTest, StrictParsingStillAcceptsWellFormedValues)
+{
+    const char *argv[] = {"prog", "--neg=-3", "--sci=2e3", "--no=no",
+                          "--up=4K", "--frac=0.5"};
+    Flags flags(6, const_cast<char **>(argv));
+    EXPECT_EQ(flags.getInt("neg", 0), -3);
+    EXPECT_DOUBLE_EQ(flags.getDouble("sci", 0), 2000.0);
+    EXPECT_FALSE(flags.getBool("no", true));
+    EXPECT_EQ(flags.getSize("up", 0), 4096u);
+    EXPECT_DOUBLE_EQ(flags.getDouble("frac", 0), 0.5);
+    // The string accessor takes any value as given.
+    EXPECT_EQ(flags.getString("neg", ""), "-3");
+}
+
 TEST(ClockTest, MonotonicAndStopwatch)
 {
     uint64_t a = nowNanos();
