@@ -13,7 +13,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
-TSAN_TESTS="${MIO_TSAN_TESTS:-group_commit_test|miodb_concurrency_test|multiwriter_test|miodb_recovery_test|failpoint_test|bloom_summary_test|fence_index_test|flush_shutdown_test|fault_soak_test|sched_test|sharded_store_test|snapshot_iterator_test|value_log_test|crash_sweep_test|read_cache_test}"
+TSAN_TESTS="${MIO_TSAN_TESTS:-group_commit_test|miodb_concurrency_test|multiwriter_test|miodb_recovery_test|failpoint_test|bloom_summary_test|fence_index_test|flush_shutdown_test|fault_soak_test|sched_test|sharded_store_test|snapshot_iterator_test|value_log_test|crash_sweep_test|memory_governor_test}"
 
 if [ "${1:-}" != "--tsan-only" ]; then
     echo "=== tier-1: build + full test suite"
@@ -40,17 +40,13 @@ if [ "${1:-}" != "--tsan-only" ]; then
     (cd build && ctest --output-on-failure -L vlog)
     echo "=== vlog bench smoke (keeps bench/micro_vlog honest)"
     build/bench/micro_vlog --smoke
-    echo "=== cache suite (memory governor + DRAM read cache)"
-    (cd build && ctest --output-on-failure -L cache)
-    echo "=== cache bench smoke (keeps bench/micro_cache honest)"
-    build/bench/micro_cache --smoke
     echo "=== debug-build leg (pin-leak + governor-ledger asserts are NDEBUG-gated)"
     cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
     cmake --build build-debug -j "$JOBS" \
-          --target edge_case_test snapshot_iterator_test read_cache_test
+          --target edge_case_test snapshot_iterator_test memory_governor_test
     (cd build-debug &&
          ctest --output-on-failure \
-               -R "edge_case_test|snapshot_iterator_test|read_cache_test")
+               -R "edge_case_test|snapshot_iterator_test|memory_governor_test")
     echo "=== ASan/UBSan leg (full suite, LeakSanitizer on)"
     cmake -B build-asan -S . -DMIO_SANITIZE=address >/dev/null
     cmake --build build-asan -j "$JOBS"

@@ -30,10 +30,7 @@ statsRow(const std::string &label, const StatsSnapshot &s)
             std::to_string(s.vlog_gc_reclaimed_bytes),
             std::to_string(s.wal_frames_replayed),
             std::to_string(s.recovery_ms_to_ready),
-            std::to_string(s.cache_hits),
-            std::to_string(s.cache_misses),
             std::to_string(s.gov_memtable_bytes),
-            std::to_string(s.tuner_moves),
             std::to_string(s.fence_probes),
             std::to_string(s.fence_walk_nodes),
             std::to_string(s.fence_bytes)};
@@ -53,16 +50,15 @@ printShardStats(KVStore *store)
     // N-way fan-out, so the scans column's sum row exceeds the
     // facade's own counter by design. The ready_ms column aggregates
     // by MAX, not sum (the machine is ready when its slowest shard
-    // is). The cache and governor columns are nonzero only in the sum
-    // row for sharded MioDB: one shared cache and one governor serve
-    // the whole set, and their counters/gauges live in the facade's
-    // extra sink.
+    // is). The governor column is nonzero only in the sum row for
+    // sharded MioDB: one governor serves the whole set, and its
+    // gauges live in the facade's extra sink.
     TableReporter tbl(
         "Per-shard counters (sum row = facade aggregate)",
         {"shard", "puts", "gets", "scans", "flushes", "zcm", "lcm",
          "vl_app", "vl_deref", "vl_segs", "vl_gc", "vl_reloc",
-         "vl_reclaim", "replayed", "ready_ms", "c_hit", "c_miss",
-         "gov_mt", "tuner", "f_probes", "f_nodes", "f_bytes"});
+         "vl_reclaim", "replayed", "ready_ms", "gov_mt", "f_probes",
+         "f_nodes", "f_bytes"});
     for (int i = 0; i < sharded->numShards(); i++) {
         tbl.addRow(statsRow(std::to_string(i),
                             snapshotOf(sharded->shardAt(i).stats())));

@@ -75,14 +75,6 @@ BenchConfig::fromFlags(const Flags &flags)
     c.vlog_gc_trigger_ratio = flags.getDouble("vlog_gc_trigger_ratio",
                                               c.vlog_gc_trigger_ratio);
     c.shards = static_cast<int>(flags.getInt("shards", c.shards));
-    c.read_cache_bytes =
-        flags.getSize("read_cache_bytes", c.read_cache_bytes);
-    c.adaptive_memory =
-        flags.getBool("adaptive_memory", c.adaptive_memory);
-    c.mem_tuner_interval_ms = flags.getInt("mem_tuner_interval_ms",
-                                           c.mem_tuner_interval_ms);
-    c.dram_floor_fraction = flags.getDouble("dram_floor_fraction",
-                                            c.dram_floor_fraction);
     return c;
 }
 
@@ -126,10 +118,6 @@ miodbOptionsFrom(const BenchConfig &config)
     o.value_separation_threshold = config.value_separation_threshold;
     o.vlog_segment_bytes = config.vlog_segment_bytes;
     o.vlog_gc_trigger_ratio = config.vlog_gc_trigger_ratio;
-    o.read_cache_bytes = config.read_cache_bytes;
-    o.adaptive_memory = config.adaptive_memory;
-    o.mem_tuner_interval_ms = config.mem_tuner_interval_ms;
-    o.dram_floor_fraction = config.dram_floor_fraction;
     return o;
 }
 
@@ -151,12 +139,6 @@ perShardConfig(const BenchConfig &config)
     if (config.miodb_buffer_cap != 0) {
         c.miodb_buffer_cap = std::max<uint64_t>(
             2 * c.memtable_size, config.miodb_buffer_cap / n);
-    }
-    // Per-shard cache budget; the shared governor/cache scale it back
-    // to the machine-wide sum (ShardedMioDB multiplies by N).
-    if (config.read_cache_bytes != 0) {
-        c.read_cache_bytes = std::max<size_t>(
-            64u << 10, config.read_cache_bytes / n);
     }
     c.shards = 1;
     return c;

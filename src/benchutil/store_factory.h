@@ -74,13 +74,6 @@ struct BenchConfig {
     size_t value_separation_threshold = 512;
     size_t vlog_segment_bytes = 4u << 20;
     double vlog_gc_trigger_ratio = 0.5;
-    // Memory governor / DRAM read cache knobs (MioDB only; DESIGN.md
-    // Sec. 5k). read_cache_bytes is machine-wide (divided per shard);
-    // adaptive_memory turns on the kMemTuner split tuner.
-    size_t read_cache_bytes = 0;
-    bool adaptive_memory = false;
-    uint64_t mem_tuner_interval_ms = 200;
-    double dram_floor_fraction = 0.125;
     /**
      * Horizontal shards behind one ShardedKvStore facade (DESIGN.md
      * Sec. 5g). 1 (the default) takes the exact unsharded code path.

@@ -165,32 +165,13 @@ StatsSnapshot::toString() const
                  static_cast<unsigned long long>(recovery_ms_to_ready));
         out += buf;
     }
-    if (cache_hits > 0 || cache_misses > 0 || gov_cache_limit > 0 ||
-        tuner_moves > 0) {
+    if (gov_memtable_limit > 0) {
         snprintf(buf, sizeof(buf),
-                 "\ncache: hits=%llu misses=%llu evictions=%llu "
-                 "invalidations=%llu hit_rate=%.3f",
-                 static_cast<unsigned long long>(cache_hits),
-                 static_cast<unsigned long long>(cache_misses),
-                 static_cast<unsigned long long>(cache_evictions),
-                 static_cast<unsigned long long>(cache_invalidations),
-                 cache_hits + cache_misses > 0
-                     ? static_cast<double>(cache_hits) /
-                           static_cast<double>(cache_hits +
-                                               cache_misses)
-                     : 0.0);
-        out += buf;
-        snprintf(
-            buf, sizeof(buf),
-            "\ngovernor: memtable=%llu/%llu cache=%llu/%llu "
-            "nvmbuf=%llu vlog=%llu tuner_moves=%llu",
-            static_cast<unsigned long long>(gov_memtable_bytes),
-            static_cast<unsigned long long>(gov_memtable_limit),
-            static_cast<unsigned long long>(gov_cache_bytes),
-            static_cast<unsigned long long>(gov_cache_limit),
-            static_cast<unsigned long long>(gov_nvm_buffer_bytes),
-            static_cast<unsigned long long>(gov_vlog_bytes),
-            static_cast<unsigned long long>(tuner_moves));
+                 "\ngovernor: memtable=%llu/%llu nvmbuf=%llu vlog=%llu",
+                 static_cast<unsigned long long>(gov_memtable_bytes),
+                 static_cast<unsigned long long>(gov_memtable_limit),
+                 static_cast<unsigned long long>(gov_nvm_buffer_bytes),
+                 static_cast<unsigned long long>(gov_vlog_bytes));
         out += buf;
     }
     uint64_t total_jobs = 0;

@@ -154,32 +154,23 @@ enum class StatKind {
     /** open() -> store serving (includes the replay); a machine is ready */  \
     /*  when its last shard is, so shards aggregate by max. */                \
     X(recovery_ms_to_ready, kMax, Scalar)                                     \
-    /* -- memory governor + DRAM read cache -- */                             \
-    /** Read-cache probes answered from DRAM. */                              \
+    /* -- memory governor -- */                                               \
+    /** Always 0: the store has no read cache (miobench still reads */        \
+    /*  the pair). */                                                         \
     X(cache_hits, kCounter, Scalar)                                           \
-    /** Read-cache probes that fell through to the levels/repo. */            \
+    /** Always 0, like cache_hits. */                                         \
     X(cache_misses, kCounter, Scalar)                                         \
-    /** Entries evicted by LRU pressure (capacity, not staleness). */         \
-    X(cache_evictions, kCounter, Scalar)                                      \
-    /** Invalidation events (flush installs, quarantine clears). */           \
-    X(cache_invalidations, kCounter, Scalar)                                  \
-    /** Tuner decisions that changed a budget or watermark. */                \
-    X(tuner_moves, kCounter, Scalar)                                          \
     /* Governor gauges (point-in-time bytes). Each governor publishes */      \
     /* into exactly one sink, so summing shards never counts a budget */      \
     /* twice. */                                                              \
     /** DRAM charged to MemTables. */                                         \
     X(gov_memtable_bytes, kGauge, Scalar)                                     \
-    /** DRAM charged to the read cache. */                                    \
-    X(gov_cache_bytes, kGauge, Scalar)                                        \
     /** NVM charged to the elastic buffer. */                                 \
     X(gov_nvm_buffer_bytes, kGauge, Scalar)                                   \
     /** NVM charged to the value log. */                                      \
     X(gov_vlog_bytes, kGauge, Scalar)                                         \
-    /** Current MemTable DRAM budget. */                                      \
+    /** MemTable DRAM budget. */                                              \
     X(gov_memtable_limit, kGauge, Scalar)                                     \
-    /** Current read-cache DRAM budget. */                                    \
-    X(gov_cache_limit, kGauge, Scalar)                                        \
     /* -- background scheduler (per-job-class observability) -- */            \
     /** Jobs queued per class. */                                             \
     X(sched_submitted, kCounter, PerJobClass)                                 \
@@ -206,11 +197,10 @@ struct StatsCounters {
     /** Log2-ish buckets of writers-per-group: 1, 2, 3-4, 5-8, ... */
     static constexpr int kGroupSizeBuckets = 8;
     /** Background job classes, indexed by sched::JobClass. */
-    static constexpr int kJobClasses = 9;
+    static constexpr int kJobClasses = 8;
     /** Short stable name per job class (sched::jobClassName). */
     static constexpr const char *kJobClassNames[kJobClasses] = {
-        "flush", "lcm",    "zcm",    "ssd",    "walrec",
-        "scrub", "vloggc", "walrep", "memtune"};
+        "flush", "lcm", "zcm", "ssd", "walrec", "scrub", "vloggc", "walrep"};
     /** Decade latency buckets: <1us, <10us, ..., <1s, >=1s. */
     static constexpr int kSchedLatBuckets = 8;
 

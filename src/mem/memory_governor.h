@@ -1,39 +1,24 @@
 /**
  * @file
- * MemoryGovernor: the process-wide memory-budget authority for a
- * store (or a whole shard set). Hybrid-memory LSM performance is
- * decided by how DRAM and NVM are partitioned between write memory
- * and read memory (paper Sec. 2; "Breaking Down Memory Walls" makes
- * the same point for pure-DRAM LSMs), yet the budgets used to be
- * scattered: MemTable capacity in MioOptions, NVM watermarks in the
- * write path, the buffer cap in the compaction path, value-log
- * segments accounted only by the device. This object unifies them:
+ * MemoryGovernor: the charge ledger for a store's (or a whole shard
+ * set's) memory budgets -- MemTable arenas, the PMTable buffer and
+ * value-log segments. It keeps one book for them:
  *
  *  - named sub-budgets (SubBudget) with a byte limit and a live
  *    charge each; every charger (memtable rotation, PMTable install
- *    boundaries, value-log segments, the DRAM read cache) reserves
- *    from here instead of keeping a private counter;
+ *    boundaries, value-log segments) reserves from here instead of
+ *    keeping a private counter;
  *  - redundant total accounting: the governor maintains the sum of
  *    all sub-budget charges *and* an independently updated total, so
  *    a missed release or double charge is detectable at any install
  *    boundary (chargesConsistent, asserted in debug builds and by
- *    the crash sweep's post-recovery validation);
- *  - NVM watermarks as live, tuner-adjustable values (basis points)
- *    instead of fixed option fields;
- *  - the self-tuning DRAM split: tunerPass() observes cumulative
- *    cache / stall / flush counters, and -- with hysteresis (two
- *    agreeing windows to act, two windows of cooldown after acting)
- *    and a per-side floor -- shifts budget between the MemTable
- *    sub-budget and the read cache, and nudges the NVM soft
- *    watermark down under write stalls so migrations start earlier.
+ *    the crash sweep's post-recovery validation).
  *
  * Thread safety: charge/release/charged/limit are lock-free atomics
  * (charges happen at arena/segment granularity, reads on hot paths).
- * tunerPass is serialized by its own mutex; it is only ever invoked
- * from the kMemTuner periodic scheduler job. The charge ordering
- * (total before sub on charge, sub before total on release)
- * guarantees sum(sub) <= total at every instant, with equality
- * whenever no charge is mid-flight.
+ * The charge ordering (total before sub on charge, sub before total on
+ * release) guarantees sum(sub) <= total at every instant, with
+ * equality whenever no charge is mid-flight.
  */
 #ifndef MIO_MEM_MEMORY_GOVERNOR_H_
 #define MIO_MEM_MEMORY_GOVERNOR_H_
@@ -41,7 +26,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "kv/store_stats.h"
@@ -50,12 +34,11 @@ namespace mio::mem {
 
 /** Named sub-budgets, one per memory consumer family. */
 enum class SubBudget : int {
-    kMemtableDram = 0,  //!< DRAM write memory (MemTable arenas)
-    kReadCacheDram = 1, //!< DRAM read cache for NVM/SSD-resident entries
-    kNvmBuffer = 2,     //!< PMTable arenas across all buffer levels
-    kVlog = 3,          //!< value-log segment capacity on NVM
+    kMemtableDram = 0, //!< DRAM write memory (MemTable arenas)
+    kNvmBuffer = 1,    //!< PMTable arenas across all buffer levels
+    kVlog = 2,         //!< value-log segment capacity on NVM
 };
-inline constexpr int kNumSubBudgets = 4;
+inline constexpr int kNumSubBudgets = 3;
 
 /** Short stable name for stats dumps and tests. */
 const char *subBudgetName(SubBudget b);
@@ -67,38 +50,10 @@ class MemoryGovernor
         /** DRAM write budget per registered memtable charger (one
          *  charger per store instance / shard). */
         size_t memtable_bytes = 1 << 20;
-        /** DRAM read-cache budget (machine-wide). 0 disables. */
-        size_t read_cache_bytes = 0;
         /** NVM buffer-arena budget. 0 = uncapped. */
         size_t nvm_buffer_bytes = 0;
         /** Value-log segment-capacity budget. 0 = uncapped. */
         size_t vlog_budget_bytes = 0;
-        double nvm_soft_watermark = 0.85;
-        double nvm_hard_watermark = 0.95;
-        /** Enable the kMemTuner policy (tunerPass becomes live). */
-        bool adaptive = false;
-        /** Neither DRAM side may be tuned below this fraction of the
-         *  combined memtable+cache budget. */
-        double dram_floor_fraction = 0.125;
-        /** kMemTuner cadence. */
-        uint64_t tuner_interval_ms = 200;
-    };
-
-    /**
-     * Cumulative observations feeding one tuner window. Callers pass
-     * running counter values (not deltas); the governor differences
-     * them against the previous pass internally.
-     */
-    struct TunerSignals {
-        uint64_t cache_hits = 0;
-        uint64_t cache_misses = 0;
-        uint64_t cache_evictions = 0;
-        uint64_t write_stalls = 0;
-        uint64_t write_slowdowns = 0;
-        uint64_t busy_rejections = 0;
-        uint64_t flush_count = 0;
-        /** Point-in-time NVM usage fraction (0 when unknown). */
-        double nvm_usage = 0.0;
     };
 
     explicit MemoryGovernor(const Config &config,
@@ -120,42 +75,18 @@ class MemoryGovernor
     /** Independently maintained sum of all charges (drift witness). */
     uint64_t totalCharged() const;
 
-    /** Current limit for @p b; 0 = unlimited. */
+    /** Limit for @p b; 0 = unlimited. */
     uint64_t limit(SubBudget b) const;
     /** True when charging @p extra more would cross b's limit. */
     bool wouldExceed(SubBudget b, size_t extra) const;
 
     /**
-     * Register one memtable charger (a store instance / shard). Adds
-     * Config::memtable_bytes to the kMemtableDram limit; the per-
-     * charger rotation target is the limit divided by the registered
-     * count, so the tuner's moves spread evenly across shards.
+     * Register one memtable charger (a store instance / shard): the
+     * kMemtableDram limit is Config::memtable_bytes times the
+     * registered count.
      */
     void registerMemtableCharger();
-    /** Capacity a charger should give its next MemTable. */
-    size_t memtableTargetBytes() const;
     int memtableChargers() const;
-
-    /** Live (possibly tuner-adjusted) NVM watermarks. */
-    double nvmSoftWatermark() const;
-    double nvmHardWatermark() const;
-
-    bool adaptive() const { return config_.adaptive; }
-    uint64_t tunerIntervalMs() const { return config_.tuner_interval_ms; }
-
-    /**
-     * One tuner window: difference @p now against the previous pass,
-     * decide a direction, and -- after two agreeing windows and
-     * outside the post-move cooldown -- move one step (1/8 of the
-     * combined DRAM budget, clamped to the per-side floor) between
-     * kMemtableDram and kReadCacheDram. Independently nudges the NVM
-     * soft watermark down while write stalls are observed and back
-     * toward the configured value while calm.
-     * @return true when any limit or watermark changed (the caller
-     *         re-applies the cache capacity).
-     */
-    bool tunerPass(const TunerSignals &now);
-    uint64_t tunerMoves() const;
 
     /**
      * Drift witness: sum of sub-budget charges equals the redundant
@@ -165,9 +96,6 @@ class MemoryGovernor
     bool chargesConsistent() const;
 
     std::string debugString() const;
-
-    /** Re-point the gauge sink (may be nullptr). */
-    void setStats(StatsCounters *stats);
 
     /**
      * Copy the current charges/limits into the stats sink's gov_*
@@ -179,9 +107,9 @@ class MemoryGovernor
     void publishGauges();
 
   private:
-
     const Config config_;
-    std::atomic<StatsCounters *> stats_;
+    /** Gauge sink (may be nullptr). */
+    StatsCounters *const stats_;
 
     std::atomic<uint64_t> charged_[kNumSubBudgets]{};
     std::atomic<uint64_t> total_{0};
@@ -189,20 +117,7 @@ class MemoryGovernor
      *  for none) and a count of finished ones (it detects a change). */
     std::atomic<uint64_t> updates_in_flight_{0};
     std::atomic<uint64_t> updates_done_{0};
-    std::atomic<uint64_t> limits_[kNumSubBudgets]{};
     std::atomic<int> memtable_chargers_{0};
-
-    /** Soft watermark in basis points (tuner-adjustable). */
-    std::atomic<uint64_t> soft_wm_bp_;
-    std::atomic<uint64_t> tuner_moves_{0};
-
-    // Tuner window state; only the periodic job takes this mutex.
-    std::mutex tuner_mu_;
-    TunerSignals prev_{};
-    bool have_prev_ = false;
-    int pending_dir_ = 0;
-    int pending_windows_ = 0;
-    int cooldown_ = 0;
 };
 
 } // namespace mio::mem

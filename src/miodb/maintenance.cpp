@@ -51,10 +51,6 @@ MioDB::backgroundWorkerCount() const
     // rotation waits for always finds a free worker.
     if (options_.value_separation_threshold > 0)
         n += 1;
-    // The kMemTuner pass is cheap but periodic; a dedicated slot keeps
-    // its cadence steady when every other worker is busy compacting.
-    if (options_.adaptive_memory)
-        n += 1;
     return n;
 }
 
@@ -182,12 +178,6 @@ MioDB::flushJob()
         MIO_FAILPOINT("flush.after_publish");
         chargeNvmBuffer(table_bytes);
         assert(governor_->chargesConsistent());
-        // Invalidate cached entries the flushed table shadows, after
-        // the L0 publish and before the imm leaves the queue: until
-        // the pop every read still stops at the imm (never probing the
-        // cache), and after the invalidation a re-fill reads through
-        // the published L0 table. No window serves the stale value.
-        invalidateCacheFor(*imm.mem);
         {
             std::lock_guard<std::mutex> il(imm_mu_);
             if (!imms_.empty())
@@ -838,11 +828,8 @@ MioDB::nvmOverSoftWatermark() const
     uint64_t cap = nvm_->capacityBytes();
     if (cap == 0)
         return false;
-    // Live governor value, not the option: the tuner lowers the soft
-    // watermark under sustained write stalls so migration starts
-    // freeing NVM earlier.
     return static_cast<double>(nvm_->meters().bytes_allocated) >
-           governor_->nvmSoftWatermark() * static_cast<double>(cap);
+           options_.nvm_soft_watermark * static_cast<double>(cap);
 }
 
 Status
@@ -867,8 +854,8 @@ MioDB::applyNvmWatermarks()
         return static_cast<int>(imms_.size()) >
                options_.max_immutable_memtables;
     };
-    const double soft_wm = governor_->nvmSoftWatermark();
-    const double hard_wm = governor_->nvmHardWatermark();
+    const double soft_wm = options_.nvm_soft_watermark;
+    const double hard_wm = options_.nvm_hard_watermark;
     double u = usage();
     if (u < soft_wm && !flushWedged())
         return Status::ok();
@@ -1051,25 +1038,7 @@ MioDB::scrubNow()
         stats_.corruptions_detected.fetch_add(
             corruptions, std::memory_order_relaxed);
     }
-    // Media damage found anywhere invalidates the read cache whole:
-    // a value cached before its source table was quarantined would
-    // keep masking the corruption that reads must now surface.
-    if (read_cache_ != nullptr &&
-        (corruptions + vlog_mismatches > 0 || repo.quarantined > 0)) {
-        read_cache_->clear();
-    }
     return corruptions + vlog_mismatches;
-}
-
-void
-MioDB::invalidateCacheFor(const lsm::MemTable &mem)
-{
-    if (read_cache_ == nullptr)
-        return;
-    for (const SkipList::Node *n = mem.list().first(); n != nullptr;
-         n = n->next(0)) {
-        read_cache_->invalidate(n->key());
-    }
 }
 
 bool
@@ -1089,47 +1058,11 @@ MioDB::memoryAccountingConsistent() const
     if (nvm_buffer_bytes_.load(std::memory_order_relaxed) !=
         state_->levels.totalArenaBytes())
         return false;
-    if (governor_->memtableChargers() == 1) {
-        if (state_->vlog != nullptr &&
-            governor_->charged(mem::SubBudget::kVlog) !=
-                state_->vlog->capacityBytes())
-            return false;
-        if (read_cache_ != nullptr &&
-            governor_->charged(mem::SubBudget::kReadCacheDram) !=
-                read_cache_->bytesUsed())
-            return false;
-    }
+    if (governor_->memtableChargers() == 1 && state_->vlog != nullptr &&
+        governor_->charged(mem::SubBudget::kVlog) !=
+            state_->vlog->capacityBytes())
+        return false;
     return true;
-}
-
-void
-MioDB::memTunerPass()
-{
-    mem::MemoryGovernor::TunerSignals s;
-    s.cache_hits = stats_.cache_hits.load(std::memory_order_relaxed);
-    s.cache_misses =
-        stats_.cache_misses.load(std::memory_order_relaxed);
-    s.cache_evictions =
-        stats_.cache_evictions.load(std::memory_order_relaxed);
-    s.write_stalls =
-        stats_.write_stalls.load(std::memory_order_relaxed);
-    s.write_slowdowns =
-        stats_.write_slowdowns.load(std::memory_order_relaxed);
-    s.busy_rejections =
-        stats_.busy_rejections.load(std::memory_order_relaxed);
-    s.flush_count = stats_.flush_count.load(std::memory_order_relaxed);
-    const uint64_t cap = nvm_->capacityBytes();
-    if (cap != 0) {
-        s.nvm_usage =
-            static_cast<double>(nvm_->meters().bytes_allocated) /
-            static_cast<double>(cap);
-    }
-    if (governor_->tunerPass(s) && read_cache_ != nullptr) {
-        // The cache retargets immediately (shrinks evict at once);
-        // the MemTable side is picked up by the next rotation.
-        read_cache_->setCapacity(
-            governor_->limit(mem::SubBudget::kReadCacheDram));
-    }
 }
 
 void

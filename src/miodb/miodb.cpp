@@ -30,8 +30,7 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
              sim::SsdDevice *ssd, wal::WalRegistry *wal_registry,
              std::shared_ptr<NvmState> state,
              sched::BackgroundScheduler *shared_scheduler,
-             std::shared_ptr<mem::MemoryGovernor> governor,
-             std::shared_ptr<mem::ReadCache> shared_cache)
+             std::shared_ptr<mem::MemoryGovernor> governor)
     : options_(options), nvm_(nvm), ssd_(ssd)
 {
     const uint64_t open_start_ns = nowNanos();
@@ -52,34 +51,21 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
         state_ = std::make_shared<NvmState>(options_.elastic_levels);
     }
 
-    // Memory governor: adopt the facade's (sharded mode -- it runs
-    // the tuner and owns the stats sink) or build a private one.
-    // Every charger below -- memtable rotation, buffer-arena install
-    // boundaries, value-log segments, the read cache -- reserves from
-    // it instead of keeping private counters.
+    // Memory governor: adopt the facade's (sharded mode -- it owns
+    // the stats sink) or build a private one. Every charger below --
+    // memtable rotation, buffer-arena install boundaries, value-log
+    // segments -- reserves from it instead of keeping private
+    // counters.
     if (governor != nullptr) {
         governor_ = std::move(governor);
     } else {
         mem::MemoryGovernor::Config gc;
         gc.memtable_bytes = options_.memtable_size;
-        gc.read_cache_bytes = options_.read_cache_bytes;
         gc.nvm_buffer_bytes = options_.nvm_buffer_cap_bytes;
         gc.vlog_budget_bytes = options_.vlog_budget_bytes;
-        gc.nvm_soft_watermark = options_.nvm_soft_watermark;
-        gc.nvm_hard_watermark = options_.nvm_hard_watermark;
-        gc.adaptive = options_.adaptive_memory;
-        gc.dram_floor_fraction = options_.dram_floor_fraction;
-        gc.tuner_interval_ms = options_.mem_tuner_interval_ms;
         governor_ = std::make_shared<mem::MemoryGovernor>(gc, &stats_);
-        owns_governor_ = true;
     }
     governor_->registerMemtableCharger();
-    if (shared_cache != nullptr) {
-        read_cache_ = std::move(shared_cache);
-    } else if (options_.read_cache_bytes > 0) {
-        read_cache_ = std::make_shared<mem::ReadCache>(
-            options_.read_cache_bytes, governor_, &stats_);
-    }
 
     // The scheduler exists before the repository: in SSD mode the
     // repository's LSM submits its compactions to this shared pool,
@@ -187,17 +173,6 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
             });
     }
 
-    // Self-tuning memory split (standalone mode only: a shared
-    // governor's facade runs one tuner over aggregated signals).
-    if (owns_governor_ && options_.adaptive_memory) {
-        tuner_job_id_ = sched_->submitPeriodic(
-            sched::JobClass::kMemTuner, options_.mem_tuner_interval_ms,
-            [this] {
-                if (!shutting_down_.load() && !crashed_.load())
-                    memTunerPass();
-            });
-    }
-
     // Prime the pipeline: an adopted image (or the replay) may have
     // left flushable immutables and mergeable levels behind.
     kickMaintenance();
@@ -287,8 +262,6 @@ MioDB::~MioDB()
     sched_->notifyEvent();
     if (scrub_job_id_ != 0)
         sched_->cancelPeriodic(scrub_job_id_);
-    if (tuner_job_id_ != 0)
-        sched_->cancelPeriodic(tuner_job_id_);
     if (owned_sched_ != nullptr) {
         // Clean shutdown runs the already-queued jobs (flush/compaction
         // bodies see shutting_down_ and finish fast; WAL recycling runs
@@ -865,9 +838,7 @@ MioDB::rotateMemTable(const std::function<void()> &relog)
 std::shared_ptr<lsm::MemTable>
 MioDB::makeMemTable(uint64_t seed)
 {
-    size_t cap = options_.memtable_size;
-    if (options_.adaptive_memory)
-        cap = governor_->memtableTargetBytes();
+    const size_t cap = options_.memtable_size;
     // The deleter owns a governor reference: pinned snapshots can keep
     // a MemTable alive past this store object, and the charge must
     // follow the arena's actual lifetime, not the store's.
@@ -1076,8 +1047,7 @@ MioDB::lookupBufferAndRepo(const Slice &key, std::string *value,
 
 bool
 MioDB::findNewestRaw(const Slice &key, std::string *value,
-                     EntryType *type, uint64_t *seq, bool *corrupt,
-                     CacheProbe *probe)
+                     EntryType *type, uint64_t *seq, bool *corrupt)
 {
     ReadGuard guard(this);
     std::shared_ptr<lsm::MemTable> mem;
@@ -1095,20 +1065,6 @@ MioDB::findNewestRaw(const Slice &key, std::string *value,
         if (imm->get(key, value, type, seq))
             return true;
     }
-    // Cache probe sits BETWEEN the DRAM write path and the buffer
-    // descent: everything newer than the cached copy is either in the
-    // tables probed above (miss here is authoritative for them) or
-    // was installed by a flush -- whose invalidation walk runs before
-    // its immutable leaves the read path, so it either bumped the
-    // epoch we capture here or its table was still probed above.
-    if (probe != nullptr && read_cache_ != nullptr) {
-        if (read_cache_->lookup(key, value, &probe->epoch)) {
-            probe->hit = true;
-            *type = EntryType::kValue;
-            return true;
-        }
-        probe->fillable = true;
-    }
     return lookupBufferAndRepo(key, value, type, seq, corrupt);
 }
 
@@ -1123,9 +1079,7 @@ MioDB::get(const Slice &key, std::string *value)
     for (int attempt = 0; attempt < 3; attempt++) {
         EntryType type = EntryType::kValue;
         bool corrupt = false;
-        CacheProbe probe;
-        bool found =
-            findNewestRaw(key, value, &type, nullptr, &corrupt, &probe);
+        bool found = findNewestRaw(key, value, &type, nullptr, &corrupt);
         if (corrupt) {
             stats_.corruptions_detected.fetch_add(
                 1, std::memory_order_relaxed);
@@ -1133,13 +1087,8 @@ MioDB::get(const Slice &key, std::string *value)
         }
         if (!found || type == EntryType::kDeletion)
             return Status::notFound(key);
-        if (type != EntryType::kValuePointer) {
-            // Fill only below-DRAM results (probe.fillable means the
-            // MemTables missed), never a value the cache answered.
-            if (probe.fillable && !probe.hit && read_cache_ != nullptr)
-                read_cache_->insert(key, Slice(*value), probe.epoch);
+        if (type != EntryType::kValuePointer)
             return Status::ok();
-        }
 
         ValuePointer vp;
         if (state_->vlog == nullptr ||
@@ -1149,13 +1098,8 @@ MioDB::get(const Slice &key, std::string *value)
             return Status::corruption(key);
         }
         Status vs = state_->vlog->read(key, vp, value);
-        if (vs.isOk()) {
-            // Cache the MATERIALIZED value: a hit skips the whole
-            // descent and the pointer dereference.
-            if (probe.fillable && read_cache_ != nullptr)
-                read_cache_->insert(key, Slice(*value), probe.epoch);
+        if (vs.isOk())
             return vs;
-        }
         if (vs.isCorruption()) {
             stats_.corruptions_detected.fetch_add(
                 1, std::memory_order_relaxed);

@@ -31,7 +31,6 @@
 #include "kv/kv_store.h"
 #include "lsm/memtable.h"
 #include "mem/memory_governor.h"
-#include "mem/read_cache.h"
 #include "miodb/lazy_copy_merge.h"
 #include "miodb/level_manager.h"
 #include "miodb/options.h"
@@ -104,20 +103,15 @@ class MioDB : public KVStore
      *        reference shard memory).
      * @param governor an externally-owned memory governor (ShardedMioDB
      *        shares one across all shards); nullptr builds a private
-     *        one from the options. A shared governor's owner runs the
-     *        kMemTuner job; this instance only charges budgets.
-     * @param shared_cache the machine-wide DRAM read cache when the
-     *        governor is shared (shard key spaces are disjoint, so one
-     *        cache is safe); nullptr builds a private cache iff
-     *        options.read_cache_bytes > 0.
+     *        one from the options. This instance only charges
+     *        budgets.
      */
     MioDB(const MioOptions &options, sim::NvmDevice *nvm,
           sim::SsdDevice *ssd = nullptr,
           wal::WalRegistry *wal_registry = nullptr,
           std::shared_ptr<NvmState> state = nullptr,
           sched::BackgroundScheduler *shared_scheduler = nullptr,
-          std::shared_ptr<mem::MemoryGovernor> governor = nullptr,
-          std::shared_ptr<mem::ReadCache> shared_cache = nullptr);
+          std::shared_ptr<mem::MemoryGovernor> governor = nullptr);
     ~MioDB() override;
 
     Status put(const Slice &key, const Slice &value) override;
@@ -224,8 +218,6 @@ class MioDB : public KVStore
 
     /** The memory-budget authority (never null after construction). */
     mem::MemoryGovernor &governor() { return *governor_; }
-    /** The DRAM read cache; nullptr when read_cache_bytes == 0. */
-    mem::ReadCache *readCache() { return read_cache_.get(); }
 
     /**
      * Drift witness for the crash sweep's post-recovery validation
@@ -233,12 +225,9 @@ class MioDB : public KVStore
      * invariant always, plus -- when nothing is reshaping the buffer
      * (no busy jobs, no in-flight merge/migration) -- exact equality
      * of each sub-budget charge against its ground truth (buffer
-     * arena bytes, cache bytes, value-log segment capacity).
+     * arena bytes, value-log segment capacity).
      */
     bool memoryAccountingConsistent() const;
-
-    /** One tuner window (the kMemTuner job body; tests call direct). */
-    void memTunerPass();
 
     /**
      * True while the elastic buffer exceeds its cap or NVM usage sits
@@ -440,34 +429,17 @@ class MioDB : public KVStore
                              bool *corrupt);
 
     /**
-     * Read-cache interaction of one get(): set by findNewestRaw when
-     * a probe pointer is passed (get() only -- GC liveness probes and
-     * snapshot reads must never be answered from, or fill, the
-     * cache).
-     */
-    struct CacheProbe {
-        bool hit = false;      //!< the cache answered (type kValue)
-        bool fillable = false; //!< missed; epoch captured for insert()
-        uint64_t epoch = 0;
-    };
-
-    /**
      * Newest version of @p key across every structure WITHOUT
      * dereferencing value pointers (GC's liveness probe): a
      * kValuePointer hit returns the encoded pointer bytes in
-     * @p value. No read-stats bumps. With @p probe set, the read
-     * cache is consulted after the MemTable/immutables miss and
-     * before the buffer descent (the probe captures the stripe epoch
-     * there, closing the fill-vs-invalidate race).
+     * @p value. No read-stats bumps.
      */
     bool findNewestRaw(const Slice &key, std::string *value,
-                       EntryType *type, uint64_t *seq, bool *corrupt,
-                       CacheProbe *probe = nullptr);
+                       EntryType *type, uint64_t *seq, bool *corrupt);
 
     // ---- memory governor ----
 
-    /** New MemTable at the governor's current target capacity,
-     *  charged to kMemtableDram until the table's last owner drops. */
+    /** New MemTable of options.memtable_size bytes, charged to kMemtableDram until the table's last owner drops. */
     std::shared_ptr<lsm::MemTable> makeMemTable(uint64_t seed);
     /** Account buffer-arena bytes (this shard's share + governor). */
     void chargeNvmBuffer(size_t bytes);
@@ -478,9 +450,6 @@ class MioDB : public KVStore
     {
         return nvm_buffer_bytes_.load(std::memory_order_relaxed);
     }
-    /** Every key of @p table dropped from the read cache (run after
-     *  the L0 install, before the immutable leaves the read path). */
-    void invalidateCacheFor(const lsm::MemTable &table);
 
     // ---- value log (key-value separation) ----
 
@@ -597,15 +566,10 @@ class MioDB : public KVStore
     mutable StatsCounters stats_;
     std::function<void(int)> manifest_probe_hook_;
 
-    // Memory governor + read cache. owns_governor_ marks standalone
-    // mode (private governor/cache, this instance runs the tuner);
-    // shared mode leaves the tuner to the facade. nvm_buffer_bytes_
-    // is this shard's slice of the governor's kNvmBuffer charge (the
+    // Memory governor (private, or shared across a shard set).
+    // nvm_buffer_bytes_ is this shard's slice of the governor's kNvmBuffer charge (the
     // per-shard cap and pressure checks compare against it).
     std::shared_ptr<mem::MemoryGovernor> governor_;
-    std::shared_ptr<mem::ReadCache> read_cache_;
-    bool owns_governor_ = false;
-    uint64_t tuner_job_id_ = 0;
     std::atomic<uint64_t> nvm_buffer_bytes_{0};
 
     std::unique_ptr<wal::WalRegistry> owned_registry_;

@@ -180,34 +180,7 @@ struct MioOptions {
      */
     double vlog_gc_trigger_ratio = 0.5;
 
-    // ---- memory governor + DRAM read cache (DESIGN.md Sec. 5k) -----
-
-    /**
-     * DRAM budget for the read cache serving NVM/SSD-resident
-     * entries (probed after the MemTable/immutables miss, before
-     * descending the buffer levels). 0 disables the cache. Sharded
-     * stores share one cache across all shards (keys are disjoint);
-     * the budget is per shard and the shared cache gets the sum.
-     */
-    size_t read_cache_bytes = 0;
-
-    /**
-     * Self-tuning memory split: a periodic kMemTuner job shifts DRAM
-     * between the MemTable budget and the read cache -- and adjusts
-     * the NVM soft watermark -- from observed cache hit rates, write
-     * stalls, and flush pressure. Rotation picks up the tuned
-     * MemTable capacity; the cache is retargeted immediately.
-     */
-    bool adaptive_memory = false;
-
-    /** kMemTuner cadence (ignored unless adaptive_memory). */
-    uint64_t mem_tuner_interval_ms = 200;
-
-    /**
-     * Neither DRAM side (MemTable budget, read cache) may be tuned
-     * below this fraction of their combined budget.
-     */
-    double dram_floor_fraction = 0.125;
+    // ---- memory governor (DESIGN.md Sec. 5k) ----------------------
 
     /**
      * Ceiling on total value-log segment capacity; appends that

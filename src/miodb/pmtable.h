@@ -190,9 +190,9 @@ class PMTable
  * The filter of a table merged from two tables with filters @p a and
  * @p b, whose entries now all live in @p merged: the OR of the two when
  * they share a geometry. Filters sized from different MemTable sizes
- * (a reopen with another memtable_size, or the adaptive tuner) cannot
- * be OR-ed, so then the filter is rebuilt from @p merged's keys at the
- * larger of the two geometries.
+ * (a reopen with another memtable_size) cannot be OR-ed, so then the
+ * filter is rebuilt from @p merged's keys at the larger of the two
+ * geometries.
  */
 BloomFilter mergeTableBlooms(const BloomFilter &a, const BloomFilter &b,
                              const SkipList &merged);

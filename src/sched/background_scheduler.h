@@ -67,11 +67,10 @@ enum class JobClass : int {
     kScrub = 5,         //!< periodic integrity verification
     kVlogGc = 6,        //!< value-log segment garbage collection
     kWalReplay = 7,     //!< recovery: a shard's open (WAL replay)
-    kMemTuner = 8,      //!< memory-governor self-tuning pass
 };
 
 inline constexpr int kNumJobClasses = StatsCounters::kJobClasses;
-static_assert(static_cast<int>(JobClass::kMemTuner) + 1 == kNumJobClasses,
+static_assert(static_cast<int>(JobClass::kWalReplay) + 1 == kNumJobClasses,
               "StatsCounters sizes its per-class arrays and names by "
               "JobClass");
 

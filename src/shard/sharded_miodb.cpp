@@ -68,18 +68,6 @@ ShardedMioDB::ShardedMioDB(const miodb::MioOptions &shard_options,
 
     registerExtraStats(&sched_stats);
 
-    // The facade -- never a shard -- owns the shared governor's tuner
-    // pass: it folds every shard's write-pressure counters together
-    // with the shared cache's hit counters before deciding a move.
-    if (governor->adaptive()) {
-        tuner_job_id = sched->submitPeriodic(
-            sched::JobClass::kMemTuner, governor->tunerIntervalMs(),
-            [this] {
-                if (!crashed.load(std::memory_order_acquire))
-                    memTunerPass();
-            });
-    }
-
     ready.store(true, std::memory_order_release);
     // A background failpoint may have frozen the pool while shards
     // were still being built; finish the fan-out it had to defer.
@@ -113,8 +101,6 @@ ShardedMioDB::buildShards(const miodb::MioOptions &shard_options,
 
     sched::BackgroundScheduler::Options so;
     so.num_workers = workerCensus(shard_options, num_shards);
-    if (shard_options.adaptive_memory)
-        so.num_workers += shard_options.deterministic_background ? 0 : 1;
     so.deterministic = shard_options.deterministic_background;
     so.stats = &sched_stats;
     so.on_crash = [this] { propagateCrash(); };
@@ -125,25 +111,13 @@ ShardedMioDB::buildShards(const miodb::MioOptions &shard_options,
     // charger, so kMemtableDram grows to N x memtable_size on its
     // own). Gauges publish into sched_stats -- exactly one sink per
     // governor, so the facade's stats aggregation never double-counts.
-    nvm_dev = nvm;
     mem::MemoryGovernor::Config gc;
     gc.memtable_bytes = shard_options.memtable_size;
-    gc.read_cache_bytes =
-        shard_options.read_cache_bytes * num_shards;
     gc.nvm_buffer_bytes =
         shard_options.nvm_buffer_cap_bytes * num_shards;
     gc.vlog_budget_bytes =
         shard_options.vlog_budget_bytes * num_shards;
-    gc.nvm_soft_watermark = shard_options.nvm_soft_watermark;
-    gc.nvm_hard_watermark = shard_options.nvm_hard_watermark;
-    gc.adaptive = shard_options.adaptive_memory;
-    gc.dram_floor_fraction = shard_options.dram_floor_fraction;
-    gc.tuner_interval_ms = shard_options.mem_tuner_interval_ms;
     governor = std::make_shared<mem::MemoryGovernor>(gc, &sched_stats);
-    if (gc.read_cache_bytes > 0) {
-        cache = std::make_shared<mem::ReadCache>(
-            gc.read_cache_bytes, governor, &sched_stats);
-    }
 
     // Shard construction (segment-directory scan, interrupted-
     // compaction completion, WAL replay) is
@@ -158,7 +132,7 @@ ShardedMioDB::buildShards(const miodb::MioOptions &shard_options,
         per.shard_tag = "s" + std::to_string(i) + "/";
         auto shard = std::make_unique<miodb::MioDB>(
             per, nvm, ssd, set_state->wals[i].get(),
-            set_state->shards[i], sched.get(), governor, cache);
+            set_state->shards[i], sched.get(), governor);
         if (fresh)
             set_state->shards[i] = shard->nvmState();
         shards[i] = std::move(shard);
@@ -237,9 +211,6 @@ ShardedMioDB::buildShards(const miodb::MioOptions &shard_options,
 
 ShardedMioDB::~ShardedMioDB()
 {
-    // The tuner lambda touches shards_ too; cancel it with the probes.
-    if (tuner_job_id != 0)
-        sched->cancelPeriodic(tuner_job_id);
     // The urgency probes iterate shards_; detach them before the
     // ShardedKvStore base starts destroying shards under a live pool.
     sched->setUrgencyProbe(sched::JobClass::kLazyCopyMerge, nullptr);
@@ -260,42 +231,6 @@ miodb::MioDB &
 ShardedMioDB::mioShard(int i)
 {
     return *static_cast<miodb::MioDB *>(shards_[i].get());
-}
-
-void
-ShardedMioDB::memTunerPass()
-{
-    mem::MemoryGovernor::TunerSignals s;
-    // Cache counters live in the pool's sink (the shared cache's
-    // stats target); write-pressure counters are per shard.
-    s.cache_hits =
-        sched_stats.cache_hits.load(std::memory_order_relaxed);
-    s.cache_misses =
-        sched_stats.cache_misses.load(std::memory_order_relaxed);
-    s.cache_evictions =
-        sched_stats.cache_evictions.load(std::memory_order_relaxed);
-    for (const auto &sh : shards_) {
-        const StatsCounters &st =
-            static_cast<const miodb::MioDB *>(sh.get())->stats();
-        s.write_stalls +=
-            st.write_stalls.load(std::memory_order_relaxed);
-        s.write_slowdowns +=
-            st.write_slowdowns.load(std::memory_order_relaxed);
-        s.busy_rejections +=
-            st.busy_rejections.load(std::memory_order_relaxed);
-        s.flush_count +=
-            st.flush_count.load(std::memory_order_relaxed);
-    }
-    const uint64_t cap = nvm_dev->capacityBytes();
-    if (cap != 0) {
-        s.nvm_usage =
-            static_cast<double>(nvm_dev->meters().bytes_allocated) /
-            static_cast<double>(cap);
-    }
-    if (governor->tunerPass(s) && cache != nullptr) {
-        cache->setCapacity(
-            governor->limit(mem::SubBudget::kReadCacheDram));
-    }
 }
 
 bool

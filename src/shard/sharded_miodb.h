@@ -62,16 +62,9 @@ struct MioShardInfra {
     /**
      * One machine-wide memory governor spanning every shard: each
      * shard registers as a memtable charger and charges its PMTable
-     * arenas / value-log segments here, and one shared DRAM read
-     * cache serves all shards (the router partitions the key space,
-     * so entries from different shards can never collide). The facade
-     * -- not any shard -- runs the kMemTuner pass, over signals
-     * aggregated across the whole set.
+     * arenas / value-log segments here.
      */
     std::shared_ptr<mem::MemoryGovernor> governor;
-    std::shared_ptr<mem::ReadCache> cache;
-    sim::NvmDevice *nvm_dev = nullptr;
-    uint64_t tuner_job_id = 0;
     std::unique_ptr<sched::BackgroundScheduler> sched;
     std::atomic<bool> crashed{false};
     std::atomic<bool> crash_propagated{false};
@@ -130,18 +123,12 @@ class ShardedMioDB : private detail::MioShardInfra, public ShardedKvStore
 
     /** The machine-wide memory governor (tests/benches introspect). */
     mem::MemoryGovernor &memoryGovernor() { return *governor; }
-    /** The shared read cache, or nullptr when disabled. */
-    mem::ReadCache *readCache() { return cache.get(); }
 
     /**
      * Governor drift witness plus every shard's exact accounting
      * check (see MioDB::memoryAccountingConsistent).
      */
     bool memoryAccountingConsistent() const;
-
-    /** One facade-level tuner pass (tests drive it directly in
-     *  deterministic mode, where periodic jobs never self-fire). */
-    void memTunerPass();
 
     /**
      * Machine-wide power failure: freeze the shared pool, crash every

@@ -45,10 +45,6 @@ sweepOptions(bool ssd_mode)
     o.value_separation_threshold = 16;
     o.vlog_segment_bytes = 4 << 10;
     o.vlog_gc_trigger_ratio = 0.95;
-    // A small DRAM read cache so every crash point also exercises the
-    // install-boundary invalidation and the post-recovery governor
-    // rebuild (expectRecoveredState sweeps the charge ledger).
-    o.read_cache_bytes = 8 << 10;
     // MIO_CRASH_DETERMINISTIC=1: run maintenance on the scheduler's
     // deterministic inline mode -- no worker threads, jobs execute in
     // strict priority order on this thread inside waitUntil()/drain().
@@ -210,7 +206,7 @@ expectRecoveredState(MioDB *db, const ExecResult &run,
                      const std::string &label)
 {
     // Post-recovery memory sweep: the charges the reopened store
-    // rebuilt (memtable arenas, NVM buffer, vlog capacity, cache)
+    // rebuilt (memtable arenas, NVM buffer, vlog capacity)
     // must balance against the governor's total before the
     // user-visible state is even compared.
     EXPECT_TRUE(db->memoryAccountingConsistent()) << label;
@@ -265,8 +261,9 @@ sweepOnePoint(const char *point, uint64_t nth, bool ssd_mode,
             // did not reach yet: drain compactions until it fires.
             db.waitIdle();
         }
-        if (require_fire)
+        if (require_fire) {
             ASSERT_TRUE(fp.fired(point)) << point << " never fired";
+        }
         fp.disarmAll();
         db.simulateCrash();
     }
@@ -548,8 +545,9 @@ sweepOnePointPinned(const char *point, uint64_t nth, bool ssd_mode,
         ExecResult r2 = runWorkload(&db, phase2);
         if (!fp.fired(point))
             db.waitIdle();  // reach background-path points
-        if (require_fire)
+        if (require_fire) {
             ASSERT_TRUE(fp.fired(point)) << point << " never fired";
+        }
         fp.disarmAll();
         for (const auto &op : phase2) {
             if (&op == r2.inflight)

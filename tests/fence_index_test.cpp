@@ -75,8 +75,9 @@ expectFenceExact(const PMTable &table, const FenceIndex &fence,
         probes++;
     }
     // About four nodes per fence gap: far below a full descent.
-    if (max_avg_hops > 0)
+    if (max_avg_hops > 0) {
         EXPECT_LT(static_cast<double>(hops_total) / probes, max_avg_hops);
+    }
 }
 
 /** Keys makeKey(2i) for i in [0, n); every third has three versions. */
@@ -90,8 +91,9 @@ buildTable(sim::NvmDevice *nvm, StatsCounters *stats, int n, int stride,
         const std::string k = makeKey(2 * i);
         const int versions = (i % 3 == 0) ? 3 : 1;
         for (int v = 0; v < versions; v++) {
-            EXPECT_TRUE(mem.add(Slice(k), seq++, EntryType::kValue,
-                                Slice(k + "@" + std::to_string(seq))));
+            const uint64_t s = seq++;
+            EXPECT_TRUE(mem.add(Slice(k), s, EntryType::kValue,
+                                Slice(k + "@" + std::to_string(s))));
         }
     }
     return onePieceFlush(&mem, nvm, stats, 16, table_id);

@@ -97,9 +97,10 @@ TEST(MergeStalenessTest, SnapshotKeptVersionsNeverShadowTheNewest)
             << "pause=" << pause_at;
         EXPECT_EQ(v, "k-v30") << "pause=" << pause_at;
         EXPECT_EQ(seq, 30u) << "pause=" << pause_at;
-        if (!complete)
+        if (!complete) {
             ASSERT_TRUE(resumeZeroCopyMerge(op.get(), &nvm, &stats,
                                             nullptr, /*keep_seq=*/0));
+        }
     }
 }
 

@@ -78,10 +78,11 @@ TEST(KeyPrefixTest, RandomKeysAgreeWithCompare)
         for (const auto &b : keys) {
             uint64_t pa = SkipList::Node::keyPrefix(Slice(a));
             uint64_t pb = SkipList::Node::keyPrefix(Slice(b));
-            if (pa < pb)
+            if (pa < pb) {
                 EXPECT_LT(Slice(a).compare(Slice(b)), 0);
-            else if (pa > pb)
+            } else if (pa > pb) {
                 EXPECT_GT(Slice(a).compare(Slice(b)), 0);
+            }
         }
     }
 }
@@ -110,8 +111,9 @@ TEST(KeyPrefixTest, SkipListRoundTripsTrickyKeys)
     std::string prev;
     bool first = true;
     for (it.seekToFirst(); it.valid(); it.next()) {
-        if (!first)
+        if (!first) {
             EXPECT_LT(Slice(prev).compare(it.key()), 0);
+        }
         prev = it.key().toString();
         first = false;
     }

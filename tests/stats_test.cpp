@@ -25,8 +25,8 @@ namespace {
 static_assert(std::is_trivially_copyable_v<StatsSnapshot>);
 static_assert(std::is_standard_layout_v<StatsSnapshot>);
 
-// 70 counters, 259 uint64_t slots once the arrays are flattened.
-constexpr size_t kSlots = 259;
+// 65 counters, 233 uint64_t slots once the arrays are flattened.
+constexpr size_t kSlots = 233;
 static_assert(sizeof(StatsSnapshot) == kSlots * sizeof(uint64_t));
 static_assert(sizeof(StatsCounters) == kSlots * sizeof(uint64_t));
 
@@ -69,11 +69,9 @@ carriedSlots()
             MIO_SLOT(vlog_segments_live),
             MIO_SLOT(recovery_ms_to_ready),
             MIO_SLOT(gov_memtable_bytes),
-            MIO_SLOT(gov_cache_bytes),
             MIO_SLOT(gov_nvm_buffer_bytes),
             MIO_SLOT(gov_vlog_bytes),
-            MIO_SLOT(gov_memtable_limit),
-            MIO_SLOT(gov_cache_limit)};
+            MIO_SLOT(gov_memtable_limit)};
 }
 
 TEST(StatsTest, FieldOrderIsPinned)
@@ -98,13 +96,13 @@ TEST(StatsTest, FieldOrderIsPinned)
     MIO_EXPECT_AT(wal_frames_on_demand, 56);
     MIO_EXPECT_AT(recovery_ms_to_ready, 57);
     MIO_EXPECT_AT(cache_hits, 58);
-    MIO_EXPECT_AT(gov_memtable_bytes, 63);
-    MIO_EXPECT_AT(gov_cache_limit, 68);
-    MIO_EXPECT_AT(sched_submitted, 69);
-    MIO_EXPECT_AT(sched_run_ns, 105);
-    MIO_EXPECT_AT(sched_queue_hist, 114);
-    MIO_EXPECT_AT(sched_run_hist, 186);
-    MIO_EXPECT_AT(sched_escalations, 258);
+    MIO_EXPECT_AT(gov_memtable_bytes, 60);
+    MIO_EXPECT_AT(gov_memtable_limit, 63);
+    MIO_EXPECT_AT(sched_submitted, 64);
+    MIO_EXPECT_AT(sched_run_ns, 96);
+    MIO_EXPECT_AT(sched_queue_hist, 104);
+    MIO_EXPECT_AT(sched_run_hist, 168);
+    MIO_EXPECT_AT(sched_escalations, 232);
 #undef MIO_EXPECT_AT
 }
 
@@ -118,7 +116,7 @@ TEST(StatsTest, LoadIntoThenSnapshotOfRoundTripsEverySlot)
 
     // Named reads see the same values as the flat walk.
     EXPECT_EQ(c.puts.load(), 0x1000u + 7 * MIO_SLOT(puts));
-    EXPECT_EQ(c.sched_run_hist[8][7].load(),
+    EXPECT_EQ(c.sched_run_hist[7][7].load(),
               0x1000u + 7 * MIO_SLOT(sched_escalations) - 7);
 }
 
@@ -138,7 +136,7 @@ TEST(StatsTest, DeltaSubtractsCountersAndCarriesGauges)
     const std::vector<uint64_t> a = slotsOf(later);
     const std::vector<uint64_t> b = slotsOf(earlier);
     const std::set<size_t> carried = carriedSlots();
-    ASSERT_EQ(carried.size(), 11u);
+    ASSERT_EQ(carried.size(), 9u);
     for (size_t i = 0; i < kSlots; i++) {
         const uint64_t want = carried.count(i) ? a[i] : a[i] - b[i];
         EXPECT_EQ(d[i], want) << "slot " << i;
@@ -166,13 +164,13 @@ TEST(StatsTest, AddSumsEverythingButTakesMaxOfReadyTime)
     // Gauges sum: each governor publishes into exactly one sink, so a
     // sum over shards never counts a budget twice.
     StatsSnapshot acc;
-    acc.gov_cache_limit = 4;
+    acc.gov_memtable_limit = 4;
     acc.vlog_segments_live = 2;
     StatsSnapshot more;
-    more.gov_cache_limit = 6;
+    more.gov_memtable_limit = 6;
     more.vlog_segments_live = 3;
     statsAdd(&acc, more);
-    EXPECT_EQ(acc.gov_cache_limit, 10u);
+    EXPECT_EQ(acc.gov_memtable_limit, 10u);
     EXPECT_EQ(acc.vlog_segments_live, 5u);
 }
 
