@@ -132,7 +132,7 @@ BM_CopyingMerge(benchmark::State &state)
         auto t2 = miodb::onePieceFlush(m2.get(), &nvm, &stats, 16, 2);
         state.ResumeTiming();
         auto merged =
-            miodb::copyingMerge(t2, t1, &nvm, &stats, 3, 16);
+            miodb::copyingMerge(t2, t1, &nvm, &stats, 3);
         benchmark::DoNotOptimize(merged->entryCount());
     }
 }

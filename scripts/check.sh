@@ -13,7 +13,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
-TSAN_TESTS="${MIO_TSAN_TESTS:-group_commit_test|miodb_concurrency_test|multiwriter_test|miodb_recovery_test|failpoint_test|bloom_summary_test|fence_index_test|flush_shutdown_test|fault_soak_test|sched_test|sharded_store_test|snapshot_iterator_test|value_log_test|crash_sweep_test|memory_governor_test}"
+TSAN_TESTS="${MIO_TSAN_TESTS:-group_commit_test|miodb_concurrency_test|multiwriter_test|miodb_recovery_test|failpoint_test|bloom_summary_test|fence_index_test|flush_shutdown_test|fault_soak_test|sched_test|sharded_store_test|snapshot_iterator_test|value_log_test|crash_sweep_test|memory_governor_test|zero_copy_merge_test|lazy_copy_merge_test|merge_staleness_test}"
 
 if [ "${1:-}" != "--tsan-only" ]; then
     echo "=== tier-1: build + full test suite"

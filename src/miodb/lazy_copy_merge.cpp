@@ -82,6 +82,9 @@ PmRepository::mergeTable(PMTable *src, uint64_t keep_seq)
         }
     };
 
+    // Runs arrive in key order, so each descent resumes from the
+    // previous run's splice (a retry after busy starts from the head).
+    SkipList::Splice finger = list_->headSplice();
     SkipList::Node *n = src->list().first();
     while (n != nullptr) {
         // Gather this key's whole version run (level-0 order keeps
@@ -93,10 +96,12 @@ PmRepository::mergeTable(PMTable *src, uint64_t keep_seq)
             run.push_back(v);
         n = run.back()->nextRelaxed(0);
 
-        device_->chargeRandomReads(
-            sim::skipDescentDepth(list_->entryCount()));
-        SkipList::Splice splice;
-        SkipList::Node *succ = list_->findGreaterOrEqual(key, &splice);
+        int compared = 0;
+        SkipList::Splice splice = finger;
+        SkipList::Node *succ =
+            list_->findGreaterOrEqualFrom(key, &splice, &compared);
+        device_->chargeRandomReads(compared);
+        finger = splice;
 
         // Copy in the run's snapshot-visible prefix: every version
         // down to (and including) the first with seq <= keep_seq --

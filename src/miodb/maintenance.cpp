@@ -370,8 +370,7 @@ MioDB::compactLevelOnce(int level)
     } else {
         uint64_t table_id = state_->next_table_id.fetch_add(1);
         auto result = copyingMerge(op->newt, op->oldt, nvm_, &stats_,
-                                   table_id, options_.bits_per_key,
-                                   keep_seq, drop_hook);
+                                   table_id, keep_seq, drop_hook);
         if (result == nullptr) {
             // The NVM budget denied the copy target; degrade to the
             // allocation-free zero-copy merge instead of failing.

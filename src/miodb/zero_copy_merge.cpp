@@ -65,11 +65,18 @@ mergeLoop(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
         }
     };
 
+    // The newtable drains in key order, so each descent resumes from
+    // the previous one's splice. Its nodes sort below every key still
+    // to come, and only nodes at or after that key are linked or
+    // unlinked meanwhile, which keeps it a valid finger.
+    Splice finger = dst.headSplice();
     auto insert_into_dst = [&](Node *n) {
-        device->chargeRandomReads(
-            sim::skipDescentDepth(dst.entryCount()));
-        Splice splice;
-        Node *succ0 = dst.findGreaterOrEqual(n->key(), &splice);
+        int compared = 0;
+        Splice splice = finger;
+        Node *succ0 = dst.findGreaterOrEqualFrom(n->key(), &splice,
+                                                 &compared);
+        device->chargeRandomReads(compared);
+        finger = splice;
         // Snapshot-kept versions the merge moved earlier may already
         // sit in the destination; descend below them so the run stays
         // in internal-key order (key asc, seq desc).
@@ -134,9 +141,7 @@ mergeLoop(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
         auto drop = shadowedVersions(n, n->key(), keep_seq);
         if (!drop.empty()) {
             notify_dropped(drop);
-            Splice head_splice;
-            for (int level = 0; level < SkipList::kMaxHeight; level++)
-                head_splice.prev[level] = src.head();
+            Splice head_splice = src.headSplice();
             pointer_stores +=
                 unlinkShadowed(&src, n->key(), &head_splice, drop);
         }
@@ -277,10 +282,9 @@ std::shared_ptr<PMTable>
 copyingMerge(const std::shared_ptr<PMTable> &newt,
              const std::shared_ptr<PMTable> &oldt,
              sim::NvmDevice *device, StatsCounters *stats,
-             uint64_t table_id, int bits_per_key, uint64_t keep_seq,
+             uint64_t table_id, uint64_t keep_seq,
              const DropNotify &drop_notify)
 {
-    (void)bits_per_key;  // geometry comes from the inputs' filters
     ScopedTimer timer(&stats->compaction_ns);
 
     // Random node heights differ from the sources', so leave headroom.

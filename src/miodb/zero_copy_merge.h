@@ -85,8 +85,7 @@ std::shared_ptr<PMTable>
 copyingMerge(const std::shared_ptr<PMTable> &newt,
              const std::shared_ptr<PMTable> &oldt,
              sim::NvmDevice *device, StatsCounters *stats,
-             uint64_t table_id, int bits_per_key,
-             uint64_t keep_seq = kMaxSequence,
+             uint64_t table_id, uint64_t keep_seq = kMaxSequence,
              const DropNotify &drop_notify = nullptr);
 
 /**

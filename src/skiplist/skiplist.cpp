@@ -192,32 +192,95 @@ SkipList::insert(const Slice &key, uint64_t seq, EntryType type,
     return true;
 }
 
+SkipList::Splice
+SkipList::headSplice() const
+{
+    Splice splice;
+    for (int i = 0; i < kMaxHeight; i++)
+        splice.prev[i] = head_;
+    return splice;
+}
+
 SkipList::Node *
 SkipList::findGreaterOrEqual(const Slice &key, Splice *splice) const
 {
+    *splice = headSplice();
+    int compared = 0;
+    return findGreaterOrEqualFrom(key, splice, &compared);
+}
+
+SkipList::Node *
+SkipList::findGreaterOrEqualFrom(const Slice &key, Splice *splice,
+                                 int *compared) const
+{
     const uint64_t kp = Node::keyPrefix(key);
-    Node *x = head_;
-    int level = maxHeight() - 1;
-    for (int i = kMaxHeight - 1; i > level; i--)
-        splice->prev[i] = head_;
+    int nodes = 0;
+    auto before = [&](const Node *n) {
+        if (n == nullptr)
+            return false;
+        nodes++;
+        return n->prefix != kp ? n->prefix < kp
+                               : n->key().compare(key) < 0;
+    };
+    const int top = maxHeight() - 1;
+
+    // Climb: the finger node at each level sorts below key, and is the
+    // exact predecessor as soon as its gap brackets key. `moved` says x
+    // has left the finger: it then sorts at or after k0, past every
+    // finger node below, so the walk down keeps it.
+    int level = 0;
+    Node *x = splice->prev[0];
+    Node *below = nullptr;  // the climb's last node before key
+    bool moved = false;
+    while (true) {
+        if (x == head_) {
+            // Every finger node from here up is a head: descend from
+            // the top, as a search from the head does.
+            level = top;
+            break;
+        }
+        Node *next = x->next(level);
+        if (!before(next)) {
+            if (level == 0) {
+                *compared += nodes;
+                return next;
+            }
+            level--;
+            x = below;
+            moved = true;
+            break;
+        }
+        if (level == top) {
+            x = next;
+            moved = true;
+            break;
+        }
+        below = next;
+        level++;
+        x = splice->prev[level];
+    }
+
+    // Walk back down.
     while (true) {
         Node *next = x->next(level);
-        bool advance = false;
         if (next != nullptr) {
+            // Warm the successor's header while comparing this node;
+            // when we advance, its cache miss is already in flight.
             __builtin_prefetch(next->next(level));
-            if (next->prefix != kp)
-                advance = next->prefix < kp;
-            else
-                advance = next->key().compare(key) < 0;
         }
-        if (advance) {
+        if (before(next)) {
             x = next;
-        } else {
-            splice->prev[level] = x;
-            if (level == 0)
-                return next;
-            level--;
+            moved = true;
+            continue;
         }
+        splice->prev[level] = x;
+        if (level == 0) {
+            *compared += nodes;
+            return next;
+        }
+        level--;
+        if (!moved)
+            x = splice->prev[level];
     }
 }
 

@@ -242,12 +242,31 @@ class SkipList
         Node *prev[kMaxHeight];
     };
 
+    /** A splice of heads: the start of a search from the top. */
+    Splice headSplice() const;
+
     /**
      * Find the first node that is >= (key, any seq) -- i.e. the newest
      * entry of @p key if present, else the first node of the next key.
      * Fills @p splice with the last node < target at every level.
      */
     Node *findGreaterOrEqual(const Slice &key, Splice *splice) const;
+
+    /**
+     * Finger search: findGreaterOrEqual() resumed from @p splice
+     * instead of the head. On entry @p splice is the finger -- the
+     * splice this search returned for an earlier key k0 <= @p key, or
+     * headSplice(). Since then only nodes >= k0 may have been linked,
+     * and no finger node unlinked. The search climbs from level 0 to
+     * the first level whose gap brackets @p key (the finger is exact
+     * there and above), then walks back down; a head finger descends
+     * from the top as findGreaterOrEqual() does. Returns the same
+     * successor and leaves the same splice as findGreaterOrEqual(),
+     * and adds to @p compared the number of nodes whose keys it
+     * compared -- the NVM reads the search makes.
+     */
+    Node *findGreaterOrEqualFrom(const Slice &key, Splice *splice,
+                                 int *compared) const;
 
     /**
      * Link the detached node @p n (whose height/key/seq are already

@@ -8,6 +8,7 @@
 #include "lsm/memtable.h"
 #include "miodb/lazy_copy_merge.h"
 #include "miodb/one_piece_flush.h"
+#include "miodb/zero_copy_merge.h"
 #include "sim/failpoint.h"
 #include "util/random.h"
 
@@ -20,7 +21,10 @@ makeTable(sim::NvmDevice *nvm, StatsCounters *stats,
                                        uint64_t, EntryType>> &entries,
           uint64_t table_id)
 {
-    lsm::MemTable mem(1 << 19, table_id * 3 + 11);
+    size_t bytes = 1 << 19;
+    for (const auto &[k, v, seq, type] : entries)
+        bytes += k.size() + v.size() + 128;
+    lsm::MemTable mem(bytes, table_id * 3 + 11);
     for (const auto &[k, v, seq, type] : entries)
         EXPECT_TRUE(mem.add(Slice(k), seq, type, Slice(v)));
     return onePieceFlush(&mem, nvm, stats, 16, table_id);
@@ -238,6 +242,135 @@ TEST(PmRepositoryTest, ReadersSurviveCrashMidMerge)
         ASSERT_TRUE(repo.get(Slice(makeKey(i)), &v, &t, nullptr)) << i;
         EXPECT_EQ(v, "new-" + std::to_string(i)) << i;
     }
+}
+
+using Entry = std::tuple<std::string, std::string, uint64_t, EntryType>;
+
+/** Every entry of @p list in internal order. */
+std::vector<Entry>
+entriesOf(const SkipList &list)
+{
+    std::vector<Entry> out;
+    SkipList::Iterator it(&list);
+    for (it.seekToFirst(); it.valid(); it.next()) {
+        out.emplace_back(it.key().toString(), it.value().toString(),
+                         it.seq(), it.entryType());
+    }
+    return out;
+}
+
+/**
+ * @p n old entries and @p n interleaved newer ones that overwrite
+ * every third old key and add keys between the old ones.
+ */
+std::pair<std::vector<Entry>, std::vector<Entry>>
+interleavedInputs(int n, size_t value_size)
+{
+    std::vector<Entry> older, newer;
+    for (int i = 0; i < n; i++) {
+        older.emplace_back(makeKey(2 * i),
+                           "old" + std::to_string(i) +
+                               std::string(value_size, 'o'),
+                           1 + i, EntryType::kValue);
+        const int key = i % 3 == 0 ? 2 * i : 2 * i + 1;
+        newer.emplace_back(makeKey(key),
+                           "new" + std::to_string(i) +
+                               std::string(value_size, 'n'),
+                           1 + n + i, EntryType::kValue);
+    }
+    return {older, newer};
+}
+
+TEST(PmRepositoryTest, OrderedMergeChargesTheNodesItTouches)
+{
+    // Runs arrive in key order, so each descent resumes from the
+    // previous run's splice: copying N keys in beside M costs a few
+    // node reads per key, not a log2(M)-deep descent each.
+    constexpr int kN = 20000;
+    constexpr int kM = 20000;
+    for (bool new_above : {true, false}) {
+        SCOPED_TRACE(new_above);
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        PmRepository repo(&nvm, &stats);
+        std::vector<Entry> older, newer;
+        const int old_base = new_above ? 0 : kN;
+        const int new_base = new_above ? kM : 0;
+        for (int i = 0; i < kM; i++) {
+            older.emplace_back(makeKey(old_base + i), "o", 1 + i,
+                               EntryType::kValue);
+        }
+        for (int i = 0; i < kN; i++) {
+            newer.emplace_back(makeKey(new_base + i), "n", 1 + kM + i,
+                               EntryType::kValue);
+        }
+        ASSERT_TRUE(
+            repo.mergeTable(makeTable(&nvm, &stats, older, 1).get()).isOk());
+        auto src = makeTable(&nvm, &stats, newer, 2);
+
+        const uint64_t before = nvm.meters().bytes_read;
+        ASSERT_TRUE(repo.mergeTable(src.get()).isOk());
+        const uint64_t node_reads = (nvm.meters().bytes_read - before) / 64;
+        EXPECT_LE(node_reads, 8u * kN);
+        EXPECT_EQ(repo.entryCount(), static_cast<uint64_t>(kN + kM));
+    }
+}
+
+TEST(PmRepositoryTest, InterleavedMergeMatchesCopyingMerge)
+{
+    const auto [older, newer] = interleavedInputs(3000, 8);
+    for (uint64_t keep_seq : {kMaxSequence, uint64_t{3000 + 1500}}) {
+        SCOPED_TRACE(keep_seq);
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        auto copied = copyingMerge(makeTable(&nvm, &stats, newer, 2),
+                                   makeTable(&nvm, &stats, older, 1),
+                                   &nvm, &stats, 3, keep_seq);
+        ASSERT_NE(copied, nullptr);
+
+        PmRepository repo(&nvm, &stats);
+        ASSERT_TRUE(
+            repo.mergeTable(makeTable(&nvm, &stats, older, 1).get(),
+                            keep_seq)
+                .isOk());
+        ASSERT_TRUE(
+            repo.mergeTable(makeTable(&nvm, &stats, newer, 2).get(),
+                            keep_seq)
+                .isOk());
+        const std::vector<Entry> got = entriesOf(repo.list());
+        EXPECT_EQ(got, entriesOf(copied->list()));
+        EXPECT_EQ(repo.entryCount(), got.size());
+    }
+}
+
+TEST(PmRepositoryTest, RetryAfterBudgetBounceMatchesCleanMerge)
+{
+    // The second merge needs a second 4 MiB arena chunk, which the NVM
+    // budget denies halfway: mergeTable answers busy with part of the
+    // table copied in. The retry starts its descents from the head
+    // again and must end where an unbounced merge ends.
+    const auto [older, newer] = interleavedInputs(6000, 512);
+    auto merged = [&](bool bounce) {
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        PmRepository repo(&nvm, &stats);
+        EXPECT_TRUE(
+            repo.mergeTable(makeTable(&nvm, &stats, older, 1).get()).isOk());
+        auto src = makeTable(&nvm, &stats, newer, 2);
+        if (bounce) {
+            nvm.setCapacityBytes(nvm.meters().bytes_allocated + 4096);
+            const uint64_t before = repo.entryCount();
+            EXPECT_TRUE(repo.mergeTable(src.get()).isBusy());
+            EXPECT_GT(repo.entryCount(), before);  // a partial merge
+            nvm.setCapacityBytes(0);
+        }
+        EXPECT_TRUE(repo.mergeTable(src.get()).isOk());
+        EXPECT_EQ(repo.entryCount(), repo.list().entryCount());
+        return entriesOf(repo.list());
+    };
+    const std::vector<Entry> want = merged(false);
+    EXPECT_EQ(want.size(), 6000u + 6000u - 2000u);
+    EXPECT_EQ(merged(true), want);
 }
 
 TEST(SsdRepositoryTest, MergeFlushesToLsm)

@@ -1,9 +1,15 @@
 /** @file Unit and property tests for the arena-based skip list. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
+#include <memory>
+#include <tuple>
+#include <vector>
 
 #include "mem/arena.h"
+#include "miodb/skiplist_merge_util.h"
 #include "skiplist/skiplist.h"
 #include "util/random.h"
 
@@ -252,6 +258,192 @@ TEST(SkipListTest, LargeValuesSurviveRoundTrip)
     EntryType t;
     ASSERT_TRUE(list.get(Slice("big"), &v, &t));
     EXPECT_EQ(v, big);
+}
+
+/** Nodes a search from the head compares to find @p key. */
+int
+headCompares(const SkipList &list, const Slice &key)
+{
+    SkipList::Splice splice = list.headSplice();
+    int compared = 0;
+    list.findGreaterOrEqualFrom(key, &splice, &compared);
+    return compared;
+}
+
+TEST(SkipListTest, FingerSearchMatchesHeadSearch)
+{
+    // A merge drains a key-ordered stream into a list, resuming every
+    // search from the previous one's splice and linking/unlinking
+    // between searches. The finger must land exactly where a search
+    // from the head lands: same successor, same predecessor at every
+    // level.
+    const int kSizes[] = {1, 2, 7, 100, 5000, 250000};
+    for (int size : kSizes) {
+        SCOPED_TRACE(size);
+        const uint64_t key_space = static_cast<uint64_t>(size) * 2 + 1;
+        Arena arena(static_cast<size_t>(size) * 160 + (1 << 16));
+        SkipList list(&arena, size * 7 + 1);
+        Random rnd(size + 3);
+        uint64_t seq = 1;
+        for (int i = 0; i < size; i++) {
+            ASSERT_TRUE(list.insert(Slice(makeKey(rnd.uniform(key_space))),
+                                    seq++, EntryType::kValue, Slice("o")));
+        }
+
+        // The stream: random keys with duplicates, newer than the
+        // list, in internal order (key ascending, seq descending).
+        const int stream_len = std::min(size, 20000);
+        std::vector<std::pair<std::string, uint64_t>> stream;
+        for (int i = 0; i < stream_len; i++)
+            stream.emplace_back(makeKey(rnd.uniform(key_space)), seq++);
+        // Versions newer than keep_seq stay linked for a pinned
+        // snapshot, as snapshot-gated merges keep them.
+        const uint64_t keep_seq = seq - stream_len / 2;
+        std::sort(stream.begin(), stream.end(),
+                  [](const auto &a, const auto &b) {
+                      return SkipList::entryBefore(Slice(a.first), a.second,
+                                                   Slice(b.first), b.second);
+                  });
+
+        Arena node_arena(static_cast<size_t>(stream_len) * 160 + 4096);
+        SkipList::Splice finger = list.headSplice();
+        int mismatches = 0;
+        for (const auto &[key, s] : stream) {
+            SkipList::Splice want;
+            SkipList::Node *want_succ =
+                list.findGreaterOrEqual(Slice(key), &want);
+            SkipList::Splice splice = finger;
+            int compared = 0;
+            SkipList::Node *succ = list.findGreaterOrEqualFrom(
+                Slice(key), &splice, &compared);
+            bool same = succ == want_succ;
+            for (int l = 0; l < list.maxHeight(); l++)
+                same = same && splice.prev[l] == want.prev[l];
+            if (!same && ++mismatches <= 3)
+                ADD_FAILURE() << "finger diverged at key " << key;
+            finger = splice;
+
+            // As a merge does: skip a version a newer one already
+            // shadows, else link it below its newer versions and unlink
+            // the versions it shadows.
+            bool shadowed = false;
+            for (SkipList::Node *v = succ; v != nullptr &&
+                                           v->key() == Slice(key) &&
+                                           v->seq > s;
+                 v = v->next(0)) {
+                shadowed = shadowed || v->seq <= keep_seq;
+            }
+            if (shadowed)
+                continue;
+            SkipList::Node *n = SkipList::makeNode(
+                &node_arena, Slice(key), s, EntryType::kValue, Slice("n"),
+                list.randomHeight());
+            ASSERT_NE(n, nullptr);
+            miodb::advanceSpliceOverNewer(Slice(key), s, &splice, succ);
+            list.linkNode(n, &splice);
+            SkipList::Node *first_same = (succ != nullptr &&
+                                          succ->key() == Slice(key) &&
+                                          succ->seq > s)
+                                             ? succ
+                                             : n;
+            auto drop = miodb::shadowedVersions(first_same, Slice(key),
+                                                keep_seq);
+            miodb::unlinkShadowed(&list, Slice(key), &splice, drop);
+        }
+        EXPECT_EQ(mismatches, 0);
+
+        // The merged list is still in internal order.
+        SkipList::Iterator it(&list);
+        it.seekToFirst();
+        uint64_t count = 0;
+        std::string prev_key;
+        uint64_t prev_seq = 0;
+        for (; it.valid(); it.next(), count++) {
+            if (count > 0) {
+                ASSERT_TRUE(SkipList::entryBefore(Slice(prev_key), prev_seq,
+                                                  it.key(), it.seq()));
+            }
+            prev_key = it.key().toString();
+            prev_seq = it.seq();
+        }
+        EXPECT_EQ(count, list.entryCount());
+    }
+}
+
+TEST(SkipListTest, FingerSearchCostFollowsTheGap)
+{
+    // New nodes merged after every `gap`-th old node: each finger
+    // search crosses `gap` old nodes.
+    for (int gap : {1, 10, 100}) {
+        SCOPED_TRACE(gap);
+        constexpr int kOld = 100000;
+        Arena arena(kOld * 160);
+        SkipList list(&arena, 17);
+        const int stride = gap;
+        uint64_t seq = 1;
+        for (int i = 0; i < kOld; i++) {
+            ASSERT_TRUE(list.insert(Slice(makeKey(i)), seq++,
+                                    EntryType::kValue, Slice("o")));
+        }
+        const int kNew = kOld / stride;
+        Arena node_arena(kNew * 160 + 4096);
+        SkipList::Splice finger = list.headSplice();
+        int64_t compared = 0;
+        int64_t head_compared = 0;
+        for (int j = 0; j < kNew; j++) {
+            // Key "<i>+" sorts right after old key i.
+            std::string key = makeKey(j * stride) + "+";
+            head_compared += headCompares(list, Slice(key));
+            int c = 0;
+            SkipList::Splice splice = finger;
+            list.findGreaterOrEqualFrom(Slice(key), &splice, &c);
+            compared += c;
+            finger = splice;
+            list.linkNode(SkipList::makeNode(&node_arena, Slice(key), seq++,
+                                             EntryType::kValue, Slice("n"),
+                                             list.randomHeight()),
+                          &splice);
+        }
+        const double mean = static_cast<double>(compared) / kNew;
+        const double head_mean =
+            static_cast<double>(head_compared) / kNew;
+        std::printf("gap %d: finger %.1f, head %.1f compares per search\n",
+                    gap, mean, head_mean);
+        if (gap == 1) {
+            EXPECT_LE(mean, 8.0);
+        }
+        EXPECT_LT(mean, head_mean);
+    }
+}
+
+TEST(SkipListTest, FarFingerCostsAtMostAHeadDescentPlusTheClimb)
+{
+    constexpr int kNodes = 100000;
+    Arena arena(kNodes * 160);
+    SkipList list(&arena, 29);
+    for (int i = 0; i < kNodes; i++) {
+        ASSERT_TRUE(list.insert(Slice(makeKey(2 * i)), i + 1,
+                                EntryType::kValue, Slice("v")));
+    }
+    Random rnd(5);
+    for (int trial = 0; trial < 2000; trial++) {
+        const uint64_t from = rnd.uniform(2 * kNodes);
+        const uint64_t to = from + rnd.uniform(2 * kNodes - from + 2);
+        SkipList::Splice finger;
+        list.findGreaterOrEqual(Slice(makeKey(from)), &finger);
+        SkipList::Splice want;
+        SkipList::Node *want_succ =
+            list.findGreaterOrEqual(Slice(makeKey(to)), &want);
+        int compared = 0;
+        SkipList::Node *succ = list.findGreaterOrEqualFrom(
+            Slice(makeKey(to)), &finger, &compared);
+        ASSERT_EQ(succ, want_succ) << from << " -> " << to;
+        for (int l = 0; l < list.maxHeight(); l++)
+            ASSERT_EQ(finger.prev[l], want.prev[l]) << l;
+        ASSERT_LE(compared,
+                  headCompares(list, Slice(makeKey(to))) + list.maxHeight())
+            << from << " -> " << to;
+    }
 }
 
 } // namespace

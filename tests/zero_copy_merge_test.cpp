@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "lsm/memtable.h"
@@ -17,6 +18,23 @@
 namespace mio::miodb {
 namespace {
 
+/** (key, seq, type, value) of one entry. */
+using Entry = std::tuple<std::string, uint64_t, EntryType, std::string>;
+
+/** Flush @p entries into a PMTable. */
+std::shared_ptr<PMTable>
+makeTable(sim::NvmDevice *nvm, StatsCounters *stats,
+          const std::vector<Entry> &entries, uint64_t table_id)
+{
+    size_t bytes = 1 << 19;
+    for (const auto &[k, seq, type, v] : entries)
+        bytes += k.size() + v.size() + 128;
+    lsm::MemTable mem(bytes, table_id * 13 + 1);
+    for (const auto &[k, seq, type, v] : entries)
+        EXPECT_TRUE(mem.add(Slice(k), seq, type, Slice(v)));
+    return onePieceFlush(&mem, nvm, stats, 16, table_id);
+}
+
 /** Flush a key->(value, seq) map into a PMTable. */
 std::shared_ptr<PMTable>
 makeTable(sim::NvmDevice *nvm, StatsCounters *stats,
@@ -24,12 +42,52 @@ makeTable(sim::NvmDevice *nvm, StatsCounters *stats,
               &entries,
           uint64_t table_id)
 {
-    lsm::MemTable mem(1 << 19, table_id * 13 + 1);
-    for (const auto &[k, vs] : entries) {
-        EXPECT_TRUE(mem.add(Slice(k), vs.second, EntryType::kValue,
-                            Slice(vs.first)));
+    std::vector<Entry> list;
+    for (const auto &[k, vs] : entries)
+        list.emplace_back(k, vs.second, EntryType::kValue, vs.first);
+    return makeTable(nvm, stats, list, table_id);
+}
+
+/** Every entry of @p list in internal order. */
+std::vector<Entry>
+entriesOf(const SkipList &list)
+{
+    std::vector<Entry> out;
+    SkipList::Iterator it(&list);
+    for (it.seekToFirst(); it.valid(); it.next()) {
+        out.emplace_back(it.key().toString(), it.seq(), it.entryType(),
+                         it.value().toString());
     }
-    return onePieceFlush(&mem, nvm, stats, 16, table_id);
+    return out;
+}
+
+/**
+ * @p n old entries and @p n interleaved newer ones: the newtable
+ * overwrites every third old key (every seventh with a tombstone),
+ * adds keys between them, and holds a second, newer version of every
+ * fifth of its keys.
+ */
+std::pair<std::vector<Entry>, std::vector<Entry>>
+interleavedInputs(int n)
+{
+    std::vector<Entry> older, newer;
+    for (int i = 0; i < n; i++) {
+        older.emplace_back(makeKey(2 * i), 1 + i, EntryType::kValue,
+                           "old" + std::to_string(i));
+        const int key = i % 3 == 0 ? 2 * i : 2 * i + 1;
+        const EntryType type =
+            i % 7 == 0 ? EntryType::kDeletion : EntryType::kValue;
+        newer.emplace_back(makeKey(key), 1 + n + i, type,
+                           type == EntryType::kDeletion
+                               ? std::string()
+                               : "new" + std::to_string(i));
+        if (i % 5 == 0) {
+            newer.emplace_back(makeKey(key), 1 + 2 * n + i,
+                               EntryType::kValue,
+                               "newer" + std::to_string(i));
+        }
+    }
+    return {older, newer};
 }
 
 TEST(ZeroCopyMergeTest, DisjointTablesConcatenate)
@@ -254,43 +312,78 @@ TEST(ZeroCopyMergeTest, ConcurrentReadersNeverSeeAnOlderVersion)
 TEST(ZeroCopyMergeTest, ResumeAfterEveryPausePoint)
 {
     // Simulated crash at every step k, then recovery completes the
-    // merge and the result must equal the uninterrupted merge.
-    for (uint64_t k = 0; k < 6; k++) {
-        sim::NvmDevice nvm;
-        StatsCounters stats;
-        auto op = std::make_shared<MergeOp>();
-        op->oldt = makeTable(&nvm, &stats,
-                             {{"b", {"b-old", 1}},
-                              {"d", {"d-old", 2}},
-                              {"f", {"f-old", 3}}},
-                             1);
-        op->newt = makeTable(&nvm, &stats,
-                             {{"a", {"a-new", 10}},
-                              {"d", {"d-new", 11}},
-                              {"g", {"g-new", 12}}},
-                             2);
-
-        bool complete = zeroCopyMerge(
-            op.get(), &nvm, &stats,
-            [&](uint64_t moved) { return moved < k; });
-        if (!complete) {
-            // Crash-recovery path: resume from the persistent mark.
-            ASSERT_TRUE(resumeZeroCopyMerge(op.get(), &nvm, &stats));
-        }
-        ASSERT_TRUE(op->done.load()) << "k=" << k;
-
-        std::map<std::string, std::string> expect = {
-            {"a", "a-new"}, {"b", "b-old"}, {"d", "d-new"},
-            {"f", "f-old"}, {"g", "g-new"}};
-        std::string v;
-        EntryType t;
-        for (const auto &[key, val] : expect) {
-            ASSERT_TRUE(op->oldt->list().get(Slice(key), &v, &t))
-                << "k=" << k << " key=" << key;
-            EXPECT_EQ(v, val) << "k=" << k << " key=" << key;
-        }
-        EXPECT_EQ(op->oldt->entryCount(), expect.size()) << "k=" << k;
+    // merge and the result must equal the uninterrupted merge: the
+    // same (key, seq, type) sequence and entry count. The resumed run
+    // starts its descents from the head; the uninterrupted one keeps
+    // one finger throughout.
+    const std::vector<Entry> small_old = {
+        {"b", 1, EntryType::kValue, "b-old"},
+        {"d", 2, EntryType::kValue, "d-old"},
+        {"f", 3, EntryType::kValue, "f-old"}};
+    const std::vector<Entry> small_new = {
+        {"a", 10, EntryType::kValue, "a-new"},
+        {"d", 11, EntryType::kValue, "d-new"},
+        {"g", 12, EntryType::kValue, "g-new"}};
+    const auto [big_old, big_new] = interleavedInputs(120);
+    struct Case {
+        const std::vector<Entry> *older;
+        const std::vector<Entry> *newer;
+        uint64_t keep_seq;
+    };
+    const Case cases[] = {{&small_old, &small_new, kMaxSequence},
+                          {&big_old, &big_new, kMaxSequence},
+                          {&big_old, &big_new, 120 + 60}};
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.newer->size());
+        SCOPED_TRACE(c.keep_seq);
+        auto merge = [&](uint64_t pause_at) {
+            sim::NvmDevice nvm;
+            StatsCounters stats;
+            auto op = std::make_shared<MergeOp>();
+            op->oldt = makeTable(&nvm, &stats, *c.older, 1);
+            op->newt = makeTable(&nvm, &stats, *c.newer, 2);
+            bool complete = zeroCopyMerge(
+                op.get(), &nvm, &stats,
+                [&](uint64_t moved) { return moved < pause_at; },
+                c.keep_seq);
+            if (!complete) {
+                // Crash-recovery path: resume from the persistent mark.
+                EXPECT_TRUE(resumeZeroCopyMerge(op.get(), &nvm, &stats,
+                                                nullptr, c.keep_seq));
+            }
+            EXPECT_TRUE(op->done.load()) << "pause=" << pause_at;
+            std::vector<Entry> got = entriesOf(op->oldt->list());
+            EXPECT_EQ(op->oldt->entryCount(), got.size())
+                << "pause=" << pause_at;
+            for (auto &e : got)
+                std::get<3>(e).clear();  // compare (key, seq, type)
+            return got;
+        };
+        const std::vector<Entry> want = merge(~0ull);
+        ASSERT_FALSE(want.empty());
+        for (uint64_t k = 0; k <= c.newer->size(); k++)
+            EXPECT_EQ(merge(k), want) << "pause=" << k;
     }
+
+    // The small case, spelled out.
+    sim::NvmDevice nvm;
+    StatsCounters stats;
+    auto op = std::make_shared<MergeOp>();
+    op->oldt = makeTable(&nvm, &stats, small_old, 1);
+    op->newt = makeTable(&nvm, &stats, small_new, 2);
+    ASSERT_FALSE(zeroCopyMerge(op.get(), &nvm, &stats,
+                               [](uint64_t moved) { return moved < 1; }));
+    ASSERT_TRUE(resumeZeroCopyMerge(op.get(), &nvm, &stats));
+    std::map<std::string, std::string> expect = {
+        {"a", "a-new"}, {"b", "b-old"}, {"d", "d-new"},
+        {"f", "f-old"}, {"g", "g-new"}};
+    std::string v;
+    EntryType t;
+    for (const auto &[key, val] : expect) {
+        ASSERT_TRUE(op->oldt->list().get(Slice(key), &v, &t)) << key;
+        EXPECT_EQ(v, val) << key;
+    }
+    EXPECT_EQ(op->oldt->entryCount(), expect.size());
 }
 
 TEST(ZeroCopyMergeTest, ReadersSurviveCrashMidMerge)
@@ -381,7 +474,7 @@ TEST(CopyingMergeTest, SameResultFullWriteCost)
                           {{"a", {"av", 1}}, {"d", {"old", 2}}}, 1);
 
     uint64_t before = nvm.meters().bytes_written;
-    auto result = copyingMerge(newt, oldt, &nvm, &stats, 3, 16);
+    auto result = copyingMerge(newt, oldt, &nvm, &stats, 3);
     uint64_t cost = nvm.meters().bytes_written - before;
 
     EXPECT_EQ(result->entryCount(), 3u);
@@ -393,6 +486,63 @@ TEST(CopyingMergeTest, SameResultFullWriteCost)
     ASSERT_TRUE(result->list().get(Slice("x"), &v, &t));
     // Copying merge rewrote whole nodes, not just pointers.
     EXPECT_GT(cost, 3u * 40);
+}
+
+TEST(ZeroCopyMergeTest, OrderedNewtableChargesTheNodesItTouches)
+{
+    // The newtable drains in key order, so each insert resumes from
+    // the previous one's splice: merging N nodes beside M costs a few
+    // node reads per node, not a log2(M)-deep descent each.
+    constexpr int kN = 20000;
+    constexpr int kM = 20000;
+    for (bool new_above : {true, false}) {
+        SCOPED_TRACE(new_above);
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        std::vector<Entry> older, newer;
+        const int old_base = new_above ? 0 : kN;
+        const int new_base = new_above ? kM : 0;
+        for (int i = 0; i < kM; i++) {
+            older.emplace_back(makeKey(old_base + i), 1 + i,
+                               EntryType::kValue, "o");
+        }
+        for (int i = 0; i < kN; i++) {
+            newer.emplace_back(makeKey(new_base + i), 1 + kM + i,
+                               EntryType::kValue, "n");
+        }
+        auto op = std::make_shared<MergeOp>();
+        op->oldt = makeTable(&nvm, &stats, older, 1);
+        op->newt = makeTable(&nvm, &stats, newer, 2);
+
+        const uint64_t before = nvm.meters().bytes_read;
+        ASSERT_TRUE(zeroCopyMerge(op.get(), &nvm, &stats));
+        const uint64_t node_reads = (nvm.meters().bytes_read - before) / 64;
+        EXPECT_LE(node_reads, 8u * kN);
+        EXPECT_EQ(op->oldt->entryCount(), static_cast<uint64_t>(kN + kM));
+    }
+}
+
+TEST(ZeroCopyMergeTest, InterleavedMergeMatchesCopyingMerge)
+{
+    const auto [older, newer] = interleavedInputs(3000);
+    for (uint64_t keep_seq : {kMaxSequence, uint64_t{3000 + 1500}}) {
+        SCOPED_TRACE(keep_seq);
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        auto copied = copyingMerge(makeTable(&nvm, &stats, newer, 2),
+                                   makeTable(&nvm, &stats, older, 1),
+                                   &nvm, &stats, 3, keep_seq);
+        ASSERT_NE(copied, nullptr);
+
+        auto op = std::make_shared<MergeOp>();
+        op->oldt = makeTable(&nvm, &stats, older, 1);
+        op->newt = makeTable(&nvm, &stats, newer, 2);
+        ASSERT_TRUE(
+            zeroCopyMerge(op.get(), &nvm, &stats, nullptr, keep_seq));
+        const std::vector<Entry> got = entriesOf(op->oldt->list());
+        EXPECT_EQ(got, entriesOf(copied->list()));
+        EXPECT_EQ(op->oldt->entryCount(), got.size());
+    }
 }
 
 } // namespace
