@@ -553,7 +553,13 @@ MioDB::vlogGcJob()
     if (victim != 0 && !shutting_down_.load() && !crashed_.load()) {
         stats_.vlog_gc_passes.fetch_add(1, std::memory_order_relaxed);
         std::vector<ValueLog::Record> records;
-        if (vlog->collectRecords(victim, &records)) {
+        if (!vlog->collectRecords(victim, &records)) {
+            // A damaged frame hides the records past it, which may
+            // still be referenced: keep the segment, and take it out
+            // of candidacy until the next open.
+            vlog->markGcQueued(victim);
+            aborted = true;
+        } else {
             for (const ValueLog::Record &rec : records) {
                 if (shutting_down_.load() || crashed_.load()) {
                     aborted = true;

@@ -15,6 +15,24 @@ namespace {
 constexpr size_t kFrameHeader = 12;
 
 /**
+ * Seal footer in a segment's last bytes, outside [0, used):
+ * [u64 used][u64 payload_bytes][u32 crc]. The CRC also covers the
+ * segment's id, so a footer an earlier segment of this log left in a
+ * recycled region never verifies.
+ */
+constexpr size_t kFooterSize = 20;
+constexpr uint32_t kFooterSeed = 0x5ea1f007;
+
+uint32_t
+footerCrc(const char *footer, uint64_t segment_id)
+{
+    char buf[24];
+    memcpy(buf, footer, 16);
+    encodeFixed64(buf + 16, segment_id);
+    return hash32(buf, sizeof(buf), kFooterSeed);
+}
+
+/**
  * A frame's CRC: its lengths and key, seeded with the value's
  * checksum -- the checksum its ValuePointer carries -- so one pass
  * over the value serves both.
@@ -108,8 +126,8 @@ std::shared_ptr<ValueLog::Segment>
 ValueLog::newSegmentLocked(size_t min_bytes)
 {
     size_t cap = segment_bytes_;
-    if (cap < min_bytes)
-        cap = min_bytes;  // one oversized record gets its own segment
+    if (cap < min_bytes + kFooterSize)
+        cap = min_bytes + kFooterSize;  // an oversized record's segment
     // Budget admission before touching the device: the governor's
     // kVlog limit is the vlog_budget_bytes ceiling, and denial here
     // surfaces as Status::busy from append, same as device exhaustion.
@@ -129,7 +147,49 @@ ValueLog::newSegmentLocked(size_t min_bytes)
     segments_[seg->id] = seg;
     stats_->vlog_segments_created.fetch_add(1, std::memory_order_relaxed);
     stats_->vlog_segments_live.fetch_add(1, std::memory_order_relaxed);
+    // A recycled region may still hold the footer of another log's
+    // segment with this id (ids restart in every log); clear the slot
+    // durably before any frame of this segment is acknowledged.
+    const char zeros[kFooterSize] = {};
+    char *slot = footerSlot(*seg);
+    nvm_->write(slot, zeros, kFooterSize, sim::WriteKind::kImage);
+    nvm_->persist(slot, kFooterSize);
     return seg;
+}
+
+char *
+ValueLog::footerSlot(const Segment &seg)
+{
+    return seg.base + seg.capacity - kFooterSize;
+}
+
+void
+ValueLog::writeFooter(const Segment &seg) const
+{
+    char footer[kFooterSize];
+    encodeFixed64(footer, seg.used.load(std::memory_order_relaxed));
+    encodeFixed64(footer + 8,
+                  seg.payload_bytes.load(std::memory_order_relaxed));
+    encodeFixed32(footer + 16, footerCrc(footer, seg.id));
+    char *slot = footerSlot(seg);
+    nvm_->write(slot, footer, kFooterSize, sim::WriteKind::kFramed);
+    // A crash here leaves the segment footerless (the shadow model
+    // rolls the footer back), so the next open rescans it.
+    MIO_FAILPOINT("vlog.seal");
+    nvm_->persist(slot, kFooterSize);
+}
+
+bool
+ValueLog::readFooter(const Segment &seg, size_t *used,
+                     uint64_t *payload) const
+{
+    nvm_->chargeRead(kFooterSize);
+    const char *slot = footerSlot(seg);
+    if (decodeFixed32(slot + 16) != footerCrc(slot, seg.id))
+        return false;
+    *used = decodeFixed64(slot);
+    *payload = decodeFixed64(slot + 8);
+    return *used <= seg.capacity - kFooterSize && *payload <= *used;
 }
 
 std::shared_ptr<ValueLog::Segment>
@@ -156,21 +216,31 @@ ValueLog::append(const Slice &key, const Slice &value, ValuePointer *out)
 
     // Appends run one at a time from reservation to persist, so frames
     // become durable in segment order: a frame a crash tears is always
-    // the last one, and the recovery rescan's truncation at the first
-    // bad CRC can never hide a later, acknowledged frame.
+    // the last one of the head, and the recovery rescan's truncation
+    // at the first bad CRC can never hide a later, acknowledged frame.
     std::lock_guard<std::mutex> append_lock(append_mu_);
     std::shared_ptr<Segment> seg;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (head_ == nullptr ||
-            head_->used.load(std::memory_order_relaxed) + frame_len >
-                head_->capacity) {
-            if (head_ != nullptr)
-                head_->sealed = true;
-            head_ = newSegmentLocked(frame_len);
-            if (head_ == nullptr)
-                return Status::busy("vlog segment allocation denied");
-        }
+        seg = head_;
+    }
+    if (seg != nullptr && seg->used.load(std::memory_order_relaxed) +
+                                  frame_len + kFooterSize >
+                              seg->capacity) {
+        // Seal the full head: its footer persists before the next
+        // head opens, so every sealed segment but the newest has one.
+        writeFooter(*seg);
+        std::lock_guard<std::mutex> lock(mu_);
+        seg->sealed = true;
+        if (head_ == seg)
+            head_ = nullptr;
+        seg = nullptr;
+    }
+    if (seg == nullptr) {
+        std::lock_guard<std::mutex> lock(mu_);
+        head_ = newSegmentLocked(frame_len);
+        if (head_ == nullptr)
+            return Status::busy("vlog segment allocation denied");
         seg = head_;
     }
     const size_t off = seg->used.load(std::memory_order_relaxed);
@@ -305,7 +375,7 @@ ValueLog::collectRecords(uint64_t segment_id,
         return false;
     const size_t used = seg->used.load(std::memory_order_acquire);
     nvm_->chargeRead(used);
-    walkFrames(seg->base, used, [&](const Frame &f) {
+    return walkFrames(seg->base, used, [&](const Frame &f) {
         Record r;
         r.key.assign(seg->base + f.offset + kFrameHeader, f.key_len);
         r.ptr.segment_id = segment_id;
@@ -313,8 +383,7 @@ ValueLog::collectRecords(uint64_t segment_id,
         r.ptr.length = f.value_len;
         r.ptr.checksum = f.value_sum;
         out->push_back(std::move(r));
-    });
-    return true;
+    }) == used;
 }
 
 uint64_t
@@ -434,16 +503,40 @@ void
 ValueLog::recoverAfterCrash()
 {
     std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::shared_ptr<Segment>> footerless;
     for (const auto &[id, seg] : segments_) {
         (void)id;
-        nvm_->chargeRead(seg->used.load(std::memory_order_relaxed));
-        rescanSegment(seg.get());
-        seg->sealed = true;  // a fresh head opens on the next append
         // The pending-unlink list was in-memory and is gone; a queued
         // segment must become pickable again to be re-discovered.
         seg->gc_queued = false;
+        size_t used = 0;
+        uint64_t payload = 0;
+        if (readFooter(*seg, &used, &payload)) {
+            // Sealed: its frames all persisted before the footer did.
+            seg->used.store(used, std::memory_order_relaxed);
+            seg->payload_bytes.store(payload, std::memory_order_relaxed);
+            seg->live_bytes.store(payload, std::memory_order_relaxed);
+            seg->sealed = true;
+            continue;
+        }
+        nvm_->chargeRead(seg->used.load(std::memory_order_relaxed));
+        rescanSegment(seg.get());
+        footerless.push_back(seg);
     }
+    // Only the newest segment can have been cut short by the crash:
+    // it stays the head, and appends continue past its verified tail.
+    // An older footerless segment lost its footer to a media fault;
+    // it is sealed again.
     head_ = nullptr;
+    for (const auto &seg : footerless) {
+        if (seg == segments_.rbegin()->second) {
+            seg->sealed = false;
+            head_ = seg;
+        } else {
+            writeFooter(*seg);
+            seg->sealed = true;
+        }
+    }
 }
 
 uint64_t

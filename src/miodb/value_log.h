@@ -14,10 +14,13 @@
  * byte.
  *
  * Each record in a segment is self-describing
- * ([crc][key_len][value_len][key][value]) so recovery can rescan
- * segment tails after a power failure (the crash shadow model rolls
- * back unpersisted bytes, so a torn append is detected by its frame
- * CRC and the tail is truncated). The value is hashed once per frame:
+ * ([crc][key_len][value_len][key][value]) so recovery can rescan the
+ * head segment's tail after a power failure (the crash shadow model
+ * rolls back unpersisted bytes, so a torn append is detected by its
+ * frame CRC and the tail is truncated). A segment that fills is
+ * sealed with a footer in its last bytes recording its tail and
+ * payload; a reopen reads that footer instead of rescanning the
+ * segment. The value is hashed once per frame:
  * its checksum is the pointer's, and it seeds the CRC over the
  * lengths and key (DESIGN.md Sec. 5l). The per-record key makes
  * garbage collection possible without a separate index: GC walks a victim
@@ -143,7 +146,8 @@ class ValueLog
 
     /**
      * Mark @p segment_id as fully relocated and awaiting its
-     * snapshot-gated unlink, removing it from GC candidacy. Cleared
+     * snapshot-gated unlink (or as too damaged for GC to walk),
+     * removing it from GC candidacy. Cleared
      * only by unlinkSegment or recoverAfterCrash (the caller's
      * pending-unlink list is in-memory and dies with a crash, so
      * recovery must make the segment pickable again).
@@ -152,7 +156,10 @@ class ValueLog
 
     /**
      * Decode every record of @p segment_id in append order.
-     * @return false when the segment does not exist.
+     * @return false when the segment does not exist, or when a damaged
+     *         frame stops the walk short of the segment's tail (the
+     *         records past it are not in @p out, so the caller must
+     *         keep the segment).
      */
     bool collectRecords(uint64_t segment_id,
                         std::vector<Record> *out) const;
@@ -197,11 +204,14 @@ class ValueLog
     uint64_t capacityBytes() const;
 
     /**
-     * Post-power-failure pass: every segment is rescanned from the
-     * start, the first record with a bad frame CRC truncates the tail
-     * (the crash shadow rolled back an unpersisted append), all
-     * segments are sealed, and live-bytes accounting is reset to
-     * "everything live" -- conservative, corrected by later GC probes.
+     * Post-power-failure pass. A segment with a valid seal footer
+     * takes its tail and payload from it, reading only the footer.
+     * A footerless segment is rescanned from the start, and the first
+     * frame with a bad CRC truncates its tail (the crash shadow rolled
+     * back an unpersisted append). The newest segment, if footerless,
+     * stays the head; any other footerless segment is sealed with a
+     * fresh footer. Live-bytes accounting is reset to "everything
+     * live" -- conservative, corrected by later GC probes.
      */
     void recoverAfterCrash();
 
@@ -219,7 +229,8 @@ class ValueLog
         char *base = nullptr;
         size_t capacity = 0;
         /** Bytes of valid frames (append order, persist-covered);
-         *  raised only after a frame's persist. */
+         *  raised only after a frame's persist. The seal footer sits
+         *  past it, in the last bytes of the region. */
         std::atomic<size_t> used{0};
         /** Payload bytes ever appended (GC-ratio denominator). */
         std::atomic<uint64_t> payload_bytes{0};
@@ -237,9 +248,18 @@ class ValueLog
         }
     };
 
-    /** Locked: open a fresh head segment of >= @p min_bytes. */
+    /** Locked: open a fresh head segment with room for a
+     *  @p min_bytes frame and the footer. */
     std::shared_ptr<Segment> newSegmentLocked(size_t min_bytes);
     std::shared_ptr<Segment> findSegment(uint64_t id) const;
+    /** Where @p seg's seal footer lives: its last bytes. */
+    static char *footerSlot(const Segment &seg);
+    /** Write and persist @p seg's seal footer from its tail fields. */
+    void writeFooter(const Segment &seg) const;
+    /** Verify @p seg's footer on the media (charging its read);
+     *  @return false when it is missing or damaged. */
+    bool readFooter(const Segment &seg, size_t *used,
+                    uint64_t *payload) const;
     /** Scan one segment's frames; truncates at the first bad frame. */
     void rescanSegment(Segment *seg) const;
 

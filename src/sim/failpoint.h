@@ -89,8 +89,10 @@ inline constexpr const char *kCrashPoints[] = {
     "group.before_wal",
     "group.after_wal",
     "group.apply_op",
-    // value log: append framing, GC relocation, segment retirement
+    // value log: append framing, seal footer, GC relocation, segment
+    // retirement
     "vlog.append",
+    "vlog.seal",
     "vlog.gc.relocate",
     "vlog.gc.before_unlink",
     // recovery: one WAL record replayed at open

@@ -8,7 +8,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -158,6 +160,392 @@ TEST(ValueLogTest, FrameBitFlipsAreCaughtByRescanScrubAndDeref)
         EXPECT_EQ(records[0].ptr, ptrs[0]);
         EXPECT_FALSE(log.read(Slice(keys[2]), ptrs[2], &v).isOk());
         EXPECT_EQ(log.scrub(), 0u);
+    }
+}
+
+// ---- Seal footers and recovery ----
+
+constexpr size_t kSegment = 4 << 10;
+constexpr size_t kFrameHeader = 12;
+constexpr size_t kFooter = 20;  // [u64 used][u64 payload][u32 crc]
+
+/** One acknowledged append and where it landed. */
+struct Appended {
+    std::string key;
+    std::string value;
+    ValuePointer ptr;
+};
+
+/**
+ * Append @p n values of 1 to min(@p max_len, kSegment / 8) random
+ * bytes under fresh keys. When @p max_len exceeds a segment, about one
+ * value in ten is oversized (up to @p max_len) and gets its own
+ * segment.
+ */
+void
+appendRandom(ValueLog *log, Random *rng, int n, size_t max_len,
+             std::vector<Appended> *out)
+{
+    for (int i = 0; i < n; i++) {
+        Appended a;
+        a.key = makeKey(out->size());
+        size_t len = 1 + rng->uniform(std::min(max_len, kSegment / 8));
+        if (max_len > kSegment && rng->oneIn(10))
+            len = kSegment + rng->uniform(max_len - kSegment);
+        rng->fillString(&a.value, len);
+        ASSERT_TRUE(
+            log->append(Slice(a.key), Slice(a.value), &a.ptr).isOk());
+        out->push_back(std::move(a));
+    }
+}
+
+/** A segment's tail (`used`): frames tile it from offset 0. */
+uint64_t
+segmentTail(const std::vector<Appended> &recs, uint64_t segment_id)
+{
+    uint64_t tail = 0;
+    for (const Appended &a : recs) {
+        if (a.ptr.segment_id == segment_id)
+            tail = std::max(tail, a.ptr.offset + a.ptr.length);
+    }
+    return tail;
+}
+
+/** A segment's footer: its last kFooter bytes. A segment is kSegment
+ *  long unless it was opened for one oversized frame. */
+char *
+footerOf(const ValueLog &log, const std::vector<Appended> &recs,
+         uint64_t segment_id)
+{
+    const size_t capacity =
+        std::max(kSegment, segmentTail(recs, segment_id) + kFooter);
+    return log.segmentBase(segment_id) + capacity - kFooter;
+}
+
+std::set<uint64_t>
+segmentIds(const std::vector<Appended> &recs)
+{
+    std::set<uint64_t> ids;
+    for (const Appended &a : recs)
+        ids.insert(a.ptr.segment_id);
+    return ids;
+}
+
+/**
+ * Every acknowledged value reads back, and each segment's walk and
+ * live estimate cover exactly the records appended to it.
+ */
+void
+expectRecovered(const ValueLog &log, const std::vector<Appended> &recs)
+{
+    std::string v;
+    for (const Appended &a : recs) {
+        ASSERT_TRUE(log.read(Slice(a.key), a.ptr, &v).isOk()) << a.key;
+        EXPECT_EQ(v, a.value) << a.key;
+    }
+    for (uint64_t id : segmentIds(recs)) {
+        std::vector<ValueLog::Record> got;
+        ASSERT_TRUE(log.collectRecords(id, &got)) << "segment " << id;
+        uint64_t payload = 0;
+        size_t i = 0;
+        for (const Appended &a : recs) {
+            if (a.ptr.segment_id != id)
+                continue;
+            ASSERT_LT(i, got.size()) << "segment " << id;
+            EXPECT_EQ(got[i].key, a.key);
+            EXPECT_EQ(got[i].ptr, a.ptr);
+            payload += a.ptr.length;
+            i++;
+        }
+        EXPECT_EQ(got.size(), i) << "segment " << id;
+        EXPECT_EQ(log.liveBytes(id), payload) << "segment " << id;
+    }
+}
+
+/** NVM bytes that one recoverAfterCrash() charges. */
+uint64_t
+recoveryBytesRead(sim::NvmDevice *nvm, ValueLog *log)
+{
+    const uint64_t before = nvm->meters().bytes_read;
+    log->recoverAfterCrash();
+    return nvm->meters().bytes_read - before;
+}
+
+TEST(ValueLogTest, ReopenReadsSealedSegmentsByTheirFooters)
+{
+    // N sealed segments and a head: a reopen rescans the head and
+    // reads one footer per segment, whatever the sealed bytes.
+    for (size_t n_sealed : {1u, 32u}) {
+        SCOPED_TRACE(testing::Message() << n_sealed << " sealed");
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        ValueLog log(&nvm, &stats, kSegment);
+        Random rng(n_sealed);
+        std::vector<Appended> recs;
+        while (log.segmentCount() < n_sealed + 1)
+            appendRandom(&log, &rng, 1, 600, &recs);
+        appendRandom(&log, &rng, 2, 600, &recs);
+        ASSERT_EQ(log.segmentCount(), n_sealed + 1);
+
+        const uint64_t head_used =
+            segmentTail(recs, recs.back().ptr.segment_id);
+        const uint64_t read = recoveryBytesRead(&nvm, &log);
+        EXPECT_GE(read, head_used);
+        EXPECT_LE(read, head_used + (n_sealed + 1) * kFooter);
+        expectRecovered(log, recs);
+        // Recovery rewrote nothing: a second reopen costs the same.
+        EXPECT_EQ(recoveryBytesRead(&nvm, &log), read);
+    }
+}
+
+TEST(ValueLogTest, FooterStateMatchesAForcedRescan)
+{
+    // Two logs take the same appends, oversized ones included. In the
+    // second every footer is damaged, which forces a rescan of every
+    // segment; both must recover the appended records exactly, and
+    // place the next append at the same spot.
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        sim::NvmDevice nvm_a, nvm_b;
+        StatsCounters stats_a, stats_b;
+        ValueLog a(&nvm_a, &stats_a, kSegment);
+        ValueLog b(&nvm_b, &stats_b, kSegment);
+        Random rng_a(seed), rng_b(seed);
+        std::vector<Appended> recs_a, recs_b;
+        appendRandom(&a, &rng_a, 150, 3 * kSegment, &recs_a);
+        appendRandom(&b, &rng_b, 150, 3 * kSegment, &recs_b);
+        ASSERT_GT(a.segmentCount(), 10u);
+
+        uint64_t all_tails = 0;
+        const uint64_t head = recs_b.back().ptr.segment_id;
+        for (uint64_t id : segmentIds(recs_b)) {
+            all_tails += segmentTail(recs_b, id);
+            if (id != head) {
+                nvm_b.injectBitFlipAt(footerOf(b, recs_b, id),
+                                      id % kFooter,
+                                      static_cast<int>(id % 8));
+            }
+        }
+        EXPECT_LE(recoveryBytesRead(&nvm_a, &a),
+                  segmentTail(recs_a, head) + a.segmentCount() * kFooter);
+        EXPECT_GE(recoveryBytesRead(&nvm_b, &b), all_tails);
+        expectRecovered(a, recs_a);
+        expectRecovered(b, recs_b);
+
+        ValuePointer next_a, next_b;
+        ASSERT_TRUE(a.append(Slice("next"), Slice("v"), &next_a).isOk());
+        ASSERT_TRUE(b.append(Slice("next"), Slice("v"), &next_b).isOk());
+        EXPECT_EQ(next_a, next_b);
+    }
+}
+
+TEST(ValueLogTest, DamagedFooterFallsBackToRescan)
+{
+    // Every bit of a sealed segment's footer is flipped in turn, each
+    // in a fresh log. Recovery must rescan that segment, recover the
+    // same state, and seal it again, so the next reopen reads only
+    // footers and the head.
+    for (size_t bit = 0; bit < 8 * kFooter; bit++) {
+        SCOPED_TRACE(testing::Message() << "footer bit " << bit);
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        ValueLog log(&nvm, &stats, kSegment);
+        Random rng(17);
+        std::vector<Appended> recs;
+        while (log.segmentCount() < 4)
+            appendRandom(&log, &rng, 1, 600, &recs);
+        const uint64_t victim = recs.front().ptr.segment_id + 1;
+        nvm.injectBitFlipAt(footerOf(log, recs, victim), bit / 8,
+                            static_cast<int>(bit % 8));
+
+        const uint64_t head_used =
+            segmentTail(recs, recs.back().ptr.segment_id);
+        EXPECT_GE(recoveryBytesRead(&nvm, &log),
+                  head_used + segmentTail(recs, victim));
+        expectRecovered(log, recs);
+        EXPECT_LE(recoveryBytesRead(&nvm, &log),
+                  head_used + log.segmentCount() * kFooter);
+        expectRecovered(log, recs);
+    }
+}
+
+TEST(ValueLogTest, SealedFrameDamageIsCaughtAfterReopen)
+{
+    // A bit flip inside a sealed segment's middle frame: the reopen
+    // takes the segment's tail from its footer, so the damaged key
+    // reads corruption while the frames on both sides stay readable.
+    // The scrubber counts the damage, and GC's walk reports it.
+    sim::NvmDevice nvm;
+    StatsCounters stats;
+    ValueLog log(&nvm, &stats, kSegment);
+    Random rng(5);
+    std::vector<Appended> recs;
+    while (log.segmentCount() < 2)
+        appendRandom(&log, &rng, 1, 300, &recs);
+    const uint64_t sealed = recs.front().ptr.segment_id;
+    size_t in_sealed = 0;
+    while (recs[in_sealed].ptr.segment_id == sealed)
+        in_sealed++;
+    ASSERT_GE(in_sealed, 3u);
+    const size_t mid = in_sealed / 2;
+    nvm.injectBitFlipAt(log.segmentBase(sealed) + recs[mid].ptr.offset,
+                        recs[mid].ptr.length / 2, 3);
+
+    log.recoverAfterCrash();
+    std::string v;
+    for (size_t i = 0; i < recs.size(); i++) {
+        Status s = log.read(Slice(recs[i].key), recs[i].ptr, &v);
+        if (i == mid) {
+            EXPECT_TRUE(s.isCorruption()) << i;
+            continue;
+        }
+        ASSERT_TRUE(s.isOk()) << i;
+        EXPECT_EQ(v, recs[i].value) << i;
+    }
+    EXPECT_EQ(log.scrub(), 1u);
+    std::vector<ValueLog::Record> walked;
+    EXPECT_FALSE(log.collectRecords(sealed, &walked));
+    EXPECT_EQ(walked.size(), mid);
+}
+
+TEST(ValueLogTest, CrashAtSealLeavesTheSegmentToTheRescan)
+{
+    // Power fails between the seal footer's write and its persist:
+    // the footer is rolled back, so the reopen rescans the segment
+    // and keeps it as the head. The next append seals it for good.
+    sim::NvmDevice nvm;
+    nvm.setCrashShadow(true);
+    StatsCounters stats;
+    ValueLog log(&nvm, &stats, kSegment);
+    auto &fp = sim::FailpointRegistry::instance();
+    fp.disarmAll();
+    fp.armCrash("vlog.seal", 1);
+    Random rng(3);
+    std::vector<Appended> recs;
+    bool crashed = false;
+    for (int i = 0; i < 100 && !crashed; i++) {
+        try {
+            appendRandom(&log, &rng, 1, 300, &recs);
+        } catch (const sim::SimCrash &) {
+            crashed = true;
+        }
+    }
+    fp.disarmAll();
+    ASSERT_TRUE(crashed) << "vlog.seal never fired";
+    ASSERT_EQ(log.segmentCount(), 1u);
+    nvm.discardUnpersisted();
+
+    const uint64_t first = recs.front().ptr.segment_id;
+    EXPECT_GE(recoveryBytesRead(&nvm, &log), segmentTail(recs, first));
+    expectRecovered(log, recs);
+
+    appendRandom(&log, &rng, 1, 300, &recs);
+    ASSERT_EQ(log.segmentCount(), 2u);
+    ASSERT_NE(recs.back().ptr.segment_id, first);
+    EXPECT_LE(recoveryBytesRead(&nvm, &log),
+              segmentTail(recs, recs.back().ptr.segment_id) +
+                  2 * kFooter);
+    expectRecovered(log, recs);
+}
+
+TEST(ValueLogTest, StaleFooterInARecycledRegionIsIgnored)
+{
+    // Two logs share one device, as shards do, and number their
+    // segments alike. A sealed segment of the first is unlinked; the
+    // second's head, which may reuse that region, must not adopt the
+    // footer left in it when a crash leaves the head footerless.
+    sim::NvmDevice nvm;
+    nvm.setCrashShadow(true);
+    StatsCounters stats_a, stats_b;
+    ValueLog a(&nvm, &stats_a, kSegment);
+    ValueLog b(&nvm, &stats_b, kSegment);
+    Random rng(23);
+    std::vector<Appended> recs_a, recs_b;
+    while (a.segmentCount() < 2)
+        appendRandom(&a, &rng, 1, 600, &recs_a);
+    const uint64_t sealed = recs_a.front().ptr.segment_id;
+    ASSERT_GT(a.unlinkSegment(sealed), 0u);
+    appendRandom(&b, &rng, 2, 600, &recs_b);
+    ASSERT_EQ(recs_b.front().ptr.segment_id, sealed);
+    nvm.discardUnpersisted();
+    b.recoverAfterCrash();
+    expectRecovered(b, recs_b);
+    appendRandom(&b, &rng, 1, 600, &recs_b);
+    EXPECT_EQ(recs_b.back().ptr.segment_id, sealed);
+    expectRecovered(b, recs_b);
+}
+
+TEST(ValueLogTest, ReopenKeepsAppendingToTheRecoveredHead)
+{
+    // Crash/reopen cycles with a few appends between them: the
+    // recovered head takes the next appends, so the log grows with
+    // the bytes appended, not with the number of reopens.
+    sim::NvmDevice nvm;
+    nvm.setCrashShadow(true);
+    StatsCounters stats;
+    ValueLog log(&nvm, &stats, kSegment);
+    Random rng(11);
+    std::vector<Appended> recs;
+    for (int cycle = 0; cycle < 20; cycle++) {
+        appendRandom(&log, &rng, 10, 200, &recs);
+        nvm.discardUnpersisted();
+        log.recoverAfterCrash();
+    }
+    const uint64_t appended = stats.vlog_appended_bytes.load();
+    EXPECT_LE(log.segmentCount(), (appended + kSegment - 1) / kSegment + 1);
+    expectRecovered(log, recs);
+}
+
+TEST(ValueLogTest, GcKeepsASegmentWithADamagedFrame)
+{
+    // GC's walk of a victim stops at a damaged frame and cannot see
+    // the records past it. Those values are still referenced, so the
+    // segment must stay and they must keep reading back.
+    sim::NvmDevice nvm;
+    MioOptions o = vlogOptions(64);
+    o.memtable_size = 4 << 10;
+    o.vlog_segment_bytes = kSegment;
+    o.vlog_gc_trigger_ratio = 0.95;
+    o.deterministic_background = true;
+    MioDB db(o, &nvm);
+    std::map<std::string, std::string> model;
+    for (int i = 0; i < 60; i++) {
+        std::string v = std::string(200, 'a' + i % 26) + std::to_string(i);
+        ASSERT_TRUE(db.put(Slice(makeKey(i)), Slice(v)).isOk());
+        model[makeKey(i)] = v;
+    }
+    db.waitIdle();
+    ValueLog *vlog = db.nvmState()->vlog.get();
+    std::vector<ValueLog::Record> sealed;
+    ASSERT_TRUE(vlog->collectRecords(1, &sealed));
+    ASSERT_GE(sealed.size(), 6u);
+    const size_t mid = sealed.size() / 2;
+    nvm.injectBitFlipAt(vlog->segmentBase(1) + sealed[mid].ptr.offset, 0,
+                        1);
+
+    // Overwrite the records before the damage until merges count them
+    // dead and GC takes the segment as its victim.
+    for (int round = 0; round < 40; round++) {
+        for (size_t i = 0; i < mid; i++) {
+            std::string v = "new-" + std::to_string(round) +
+                             std::string(100, 'n');
+            ASSERT_TRUE(db.put(Slice(sealed[i].key), Slice(v)).isOk());
+            model[sealed[i].key] = v;
+        }
+    }
+    db.waitIdle();
+    EXPECT_GT(db.stats().vlog_gc_passes.load(), 0u);
+    EXPECT_NE(vlog->segmentBase(1), nullptr);
+
+    std::string got;
+    for (const auto &[k, expect] : model) {
+        Status s = db.get(Slice(k), &got);
+        if (k == sealed[mid].key) {
+            EXPECT_TRUE(s.isCorruption()) << k;
+            continue;
+        }
+        ASSERT_TRUE(s.isOk()) << k << ": " << s.toString();
+        EXPECT_EQ(got, expect) << k;
     }
 }
 
