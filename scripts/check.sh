@@ -24,8 +24,8 @@ if [ "${1:-}" != "--tsan-only" ]; then
     build/bench/micro_readpath --smoke
     echo "=== readpath suite (manifests, bloom summaries, DRAM fence index)"
     (cd build && ctest --output-on-failure -L readpath)
-    echo "=== fault suite (fault model, scrubber, backpressure)"
-    (cd build && ctest --output-on-failure -L fault)
+    echo "=== fault sweep (fault suite, then the soak under each fault class)"
+    scripts/fault_sweep.sh
     echo "=== sched suite (unified background-job scheduler)"
     (cd build && ctest --output-on-failure -L sched)
     echo "=== shard suite (horizontal sharding facade)"

@@ -24,9 +24,10 @@ echo "=== fault sweep: ctest -L fault"
 
 # Env-armed soak matrix: the same soak binary, each stage arming a
 # different fault class through the device's MIO_NVM_FAULTS spec. The
-# soak asserts every operation finishes with a sane status (ok, busy,
-# not-found) -- no aborts, no wrong values -- while the background
-# scrubber races the traffic.
+# soak asserts every get returns the written value, or not-found before
+# the put was acknowledged, while the background scrubber races the
+# traffic. Corruption is the right answer only for a key whose value
+# frame or node overlaps a fault the device recorded.
 run_stage() {
     local name="$1" spec="$2"
     echo "=== fault sweep: soak [$name] MIO_NVM_FAULTS=\"$spec\""

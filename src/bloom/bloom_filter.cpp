@@ -34,20 +34,48 @@ BloomFilter::makeForCapacity(uint64_t expected_keys, int bits_per_key)
                        probes);
 }
 
+namespace {
+
+/** murmur3's fmix64: every input bit reaches every output bit. */
+inline uint64_t
+mix64(uint64_t h)
+{
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return h;
+}
+
+/** Map @p h onto [0, n) by multiply-high: no division per probe. */
+inline uint64_t
+bitIndex(uint64_t h, uint64_t n)
+{
+    return static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(h) * n) >> 64);
+}
+
+} // namespace
+
 std::pair<uint64_t, uint64_t>
 BloomFilter::keyHashes(const Slice &key)
 {
-    // Double hashing: h_i = h1 + i*h2 (Kirsch-Mitzenmacher).
-    uint64_t h1 = hash64(key.data(), key.size());
-    uint64_t h2 = hash32(key.data(), key.size(), 0xa5a5a5a5) | 1;
-    return {h1, h2};
+    // Double hashing: h_i = h1 + i*h2 (Kirsch-Mitzenmacher). A probe's
+    // bit comes from the top bits of h_i (bitIndex), so both hashes
+    // must be spread over all 64 bits: FNV-1a alone leaves the last
+    // key bytes in its low bits, and a 32-bit h2 would bunch the
+    // probes together.
+    const uint64_t h = hash64(key.data(), key.size());
+    return {mix64(h), mix64(h + 0x9e3779b97f4a7c15ULL) | 1};
 }
 
 void
 BloomFilter::addHashes(uint64_t h1, uint64_t h2)
 {
     for (int i = 0; i < num_probes_; i++) {
-        uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % num_bits_;
+        uint64_t bit = bitIndex(h1 + static_cast<uint64_t>(i) * h2,
+                                num_bits_);
         words_[bit >> 6] |= (1ULL << (bit & 63));
     }
 }
@@ -70,7 +98,8 @@ bool
 BloomFilter::mayContainHashes(uint64_t h1, uint64_t h2) const
 {
     for (int i = 0; i < num_probes_; i++) {
-        uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % num_bits_;
+        uint64_t bit = bitIndex(h1 + static_cast<uint64_t>(i) * h2,
+                                num_bits_);
         if ((words_[bit >> 6] & (1ULL << (bit & 63))) == 0)
             return false;
     }

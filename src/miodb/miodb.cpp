@@ -177,7 +177,7 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
     // left flushable immutables and mergeable levels behind.
     kickMaintenance();
     if (adopted) {
-        // The rebuild walk is CPU-bound over every level-1 node of the
+        // The rebuild walk is CPU-bound over every level-0 node of the
         // buffer. Starting it a moment after open keeps it off the
         // core that finishes the open and serves the first requests,
         // so recovery time never includes fence building.

@@ -1,6 +1,8 @@
 /** @file Unit tests for the mergeable bloom filter. */
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "bloom/bloom_filter.h"
 #include "util/random.h"
 
@@ -135,6 +137,32 @@ TEST(BloomTest, HashPairPathMatchesDirectAdd)
     a.encodeTo(&ea);
     b.encodeTo(&eb);
     EXPECT_EQ(ea, eb);
+}
+
+TEST(BloomTest, FalsePositiveRateMatchesTheoryAtOddSizes)
+{
+    // Multiply-high maps probes onto any bit count, so filters whose
+    // size is no power of two must still meet the textbook rate
+    // (1 - e^(-kn/m))^k at 16 bits/key.
+    for (uint64_t n : {1000u, 3000u, 7777u, 12345u}) {
+        BloomFilter f = BloomFilter::makeForCapacity(n, 16);
+        ASSERT_NE(f.numBits() & (f.numBits() - 1), 0u) << n;
+        for (uint64_t i = 0; i < n; i++)
+            f.add(Slice(makeKey(i)));
+        const int probes = 200000;
+        int fp = 0;
+        for (int i = 0; i < probes; i++) {
+            if (f.mayContain(Slice(makeKey(100000000 + i))))
+                fp++;
+        }
+        const double k = f.numProbes();
+        const double theory = std::pow(
+            1.0 - std::exp(-k * static_cast<double>(n) /
+                           static_cast<double>(f.numBits())),
+            k);
+        EXPECT_LT(static_cast<double>(fp) / probes, 1.5 * theory)
+            << "n=" << n << " fp=" << fp;
+    }
 }
 
 } // namespace

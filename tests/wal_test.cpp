@@ -1,6 +1,7 @@
 /** @file Unit tests for the NVM write-ahead log. */
 #include <gtest/gtest.h>
 
+#include "util/clock.h"
 #include "wal/log_reader.h"
 #include "wal/log_writer.h"
 
@@ -56,6 +57,31 @@ TEST(WalTest, OversizedRecordGetsOwnChunk)
     std::string r;
     ASSERT_TRUE(reader.readRecord(&r));
     EXPECT_EQ(r.size(), huge.size());
+}
+
+TEST(WalTest, ReplayChargesOneReadPerChunk)
+{
+    // Replay reads a chunk like any other log walk: one media latency,
+    // then its bytes. Only reads cost time here, 1 ms each, so a
+    // per-frame charge would take a second over 1,000 frames.
+    sim::MemoryPerfModel model;
+    model.read_latency_ns = 1'000'000;
+    sim::NvmDevice nvm(model);
+    LogSegment log(&nvm);
+    const int n = 1000;
+    for (int i = 0; i < n; i++)
+        ASSERT_TRUE(log.append(Slice("frame-" + std::to_string(i))).isOk());
+    const uint64_t read_before = nvm.meters().bytes_read;
+    const uint64_t t0 = nowNanos();
+    LogReader reader(&log);
+    std::string r;
+    int frames = 0;
+    while (reader.readRecord(&r))
+        frames++;
+    const uint64_t elapsed = nowNanos() - t0;
+    EXPECT_EQ(frames, n);
+    EXPECT_EQ(nvm.meters().bytes_read - read_before, log.sizeBytes());
+    EXPECT_LT(elapsed, 250'000'000u);
 }
 
 TEST(WalTest, WritesAreChargedAndPersisted)
