@@ -161,7 +161,6 @@ MioDB::flushJob()
             return;
         }
         flush_blocked_.store(false);
-        ensureFence(table.get());
         stats_.flush_count.fetch_add(1, std::memory_order_relaxed);
         // A crash before the push loses the PMTable image but the WAL
         // segment survives (it is recycled only after the push);
@@ -383,7 +382,6 @@ MioDB::compactLevelOnce(int level)
             return CompactResult::kWorked;
         }
         const size_t after_bytes = result->arenaBytes();
-        ensureFence(result.get());
         state_->levels.level(level + 1).push(std::move(result));
         bl.finishMerge(op);
         settleMergeDelta(before_bytes, after_bytes);

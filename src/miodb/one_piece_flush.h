@@ -37,7 +37,8 @@ onePieceFlush(lsm::MemTable *mem, sim::NvmDevice *device,
 
 /**
  * Ablation path: copy entries one by one into a fresh NVM skip list
- * (every insert pays a search plus a per-node memcpy into NVM).
+ * (every insert pays a search plus a per-node memcpy into NVM). The
+ * table's fence is picked from the nodes as they are written.
  */
 std::shared_ptr<PMTable>
 nodeByNodeFlush(lsm::MemTable *mem, sim::NvmDevice *device,

@@ -132,7 +132,7 @@ SkipList::makeNode(ChunkedNvmArena *arena, const Slice &key, uint64_t seq,
     return n;
 }
 
-bool
+SkipList::Node *
 SkipList::insert(const Slice &key, uint64_t seq, EntryType type,
                  const Slice &value)
 {
@@ -173,7 +173,7 @@ SkipList::insert(const Slice &key, uint64_t seq, EntryType type,
     int height = randomHeight();
     Node *n = makeNode(arena_, key, seq, type, value, height);
     if (n == nullptr)
-        return false;
+        return nullptr;
 
     if (height > maxHeight()) {
         // Levels above the old max have head as predecessor.
@@ -189,7 +189,7 @@ SkipList::insert(const Slice &key, uint64_t seq, EntryType type,
         splice.prev[i]->setNext(i, n);
     }
     entry_count_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    return n;
 }
 
 SkipList::Splice

@@ -168,10 +168,11 @@ class SkipList
     /**
      * Insert an entry. Sequence numbers must be unique per key within
      * one list; newer entries carry larger sequence numbers.
-     * @return false when the arena is exhausted (caller rotates tables).
+     * @return the linked node, or nullptr when the arena is exhausted
+     *         (caller rotates tables).
      */
-    bool insert(const Slice &key, uint64_t seq, EntryType type,
-                const Slice &value);
+    Node *insert(const Slice &key, uint64_t seq, EntryType type,
+                 const Slice &value);
 
     /**
      * Point lookup: finds the newest entry for @p key.
